@@ -223,9 +223,6 @@ class ExperimentConfig:
             input_scaling=self.reservoir.input_scaling,
             noise=specs,
             seed=inst_seed,
-            washout=self.split.washout,
-            train_len=self.split.train,
-            eval_len=self.split.eval,
         )
 
     def esn_instance(self, k: int) -> EsnConfig:
@@ -237,9 +234,6 @@ class ExperimentConfig:
             internal_prob=self.esn.internal_prob,
             input_prob=self.esn.input_prob,
             seed=esn_seed,
-            washout=self.split.washout,
-            train_len=self.split.train,
-            eval_len=self.split.eval,
         )
 
 

@@ -22,27 +22,24 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
-
-def rx_matrix(theta: float) -> np.ndarray:
-    """Single-qubit rotation about X by ``theta``."""
+def rx_matrix(theta) -> np.ndarray:
+    """Rotation about X by ``theta``; an array of angles gives a stack of
+    matrices, shape ``theta.shape + (2, 2)``."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return np.multiply.outer(c, I2) - 1j * np.multiply.outer(s, PAULI_X)
 
 
-def rz_matrix(theta: float) -> np.ndarray:
-    """Single-qubit rotation about Z by ``theta``."""
-    return np.array(
-        [[np.exp(-1j * theta / 2.0), 0], [0, np.exp(1j * theta / 2.0)]], dtype=complex
-    )
+def rz_matrix(theta) -> np.ndarray:
+    """Rotation about Z by ``theta``; broadcasts over angles like ``rx_matrix``."""
+    return np.exp(np.multiply.outer(theta, [-0.5j, 0.5j]))[..., :, None] * I2
 
 
-def crx_block(theta: float) -> np.ndarray:
-    """Controlled-RX on (control, target): identity block plus literal RX block."""
-    out = np.eye(4, dtype=complex)
-    out[2:, 2:] = rx_matrix(theta)
+def crx_block(theta) -> np.ndarray:
+    """Controlled-RX on (control, target): identity block plus literal RX block.
+    Broadcasts over angles like ``rx_matrix``."""
+    out = np.array(np.broadcast_to(np.eye(4, dtype=complex), np.shape(theta) + (4, 4)))
+    out[..., 2:, 2:] = rx_matrix(theta)
     return out
 
 
@@ -103,6 +100,18 @@ def prepare_plus_state(n_qubits: int) -> np.ndarray:
     return np.full((dim, dim), 1.0 / dim, dtype=complex)
 
 
+def contract_axes(op: np.ndarray, tens: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply ``op`` to the given axes of ``tens``, leaving the others alone.
+
+    ``op`` holds its k output axes first and its k input axes last, each
+    input axis matching the size of the ``tens`` axis it contracts with; the
+    output axes take the places of the contracted ones.
+    """
+    k = len(axes)
+    out = np.tensordot(op, tens, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
+
+
 def _apply_operator(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int],
                     n: int) -> np.ndarray:
     """rho -> op rho op^dag with op acting on the given qubits (identity elsewhere).
@@ -110,15 +119,9 @@ def _apply_operator(rho: np.ndarray, op: np.ndarray, qubits: Sequence[int],
     Contracts the small operator against the ket axes and its conjugate
     against the bra axes; O(4**n * 2**k) instead of full 8**n matmuls.
     """
-    k = len(qubits)
-    tens = rho.reshape((2,) * (2 * n))
-    small = op.reshape((2,) * (2 * k))
-    ket_axes = list(qubits)
-    out = np.tensordot(small, tens, axes=(list(range(k, 2 * k)), ket_axes))
-    out = np.moveaxis(out, list(range(k)), ket_axes)
-    bra_axes = [n + q for q in qubits]
-    out = np.tensordot(small.conj(), out, axes=(list(range(k, 2 * k)), bra_axes))
-    out = np.moveaxis(out, list(range(k)), bra_axes)
+    small = op.reshape((2,) * (2 * len(qubits)))
+    out = contract_axes(small, rho.reshape((2,) * (2 * n)), qubits)
+    out = contract_axes(small.conj(), out, [n + q for q in qubits])
     return out.reshape(rho.shape)
 
 
@@ -138,13 +141,9 @@ def compile_unitary(gates: Sequence[GateSpec], n_qubits: int) -> np.ndarray:
     U = np.eye(dim, dtype=complex)
     for g in gates:
         _check_indices(g, n_qubits)
-        tens = U.reshape((2,) * (2 * n_qubits))
-        k = len(g.qubits())
-        small = g.local_matrix().reshape((2,) * (2 * k))
-        ket_axes = list(g.qubits())
-        out = np.tensordot(small, tens, axes=(list(range(k, 2 * k)), ket_axes))
-        out = np.moveaxis(out, list(range(k)), ket_axes)
-        U = out.reshape(dim, dim)
+        small = g.local_matrix().reshape((2,) * (2 * len(g.qubits())))
+        U = contract_axes(small, U.reshape((2,) * (2 * n_qubits)), g.qubits())
+        U = U.reshape(dim, dim)
     return U
 
 
@@ -180,22 +179,20 @@ def expect_pauli_z(rho: np.ndarray, qubit: int) -> float:
     n = _n_qubits_of(rho)
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range for {n} qubits")
-    diag = np.real(np.diagonal(rho))
-    signs = _z_signs(n, qubit)
-    return float(np.dot(signs, diag))
+    return float(z_sign_matrix(n)[qubit] @ np.real(np.diagonal(rho)))
 
 
-def _z_signs(n: int, qubit: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    bit = (idx >> (n - 1 - qubit)) & 1
-    return 1.0 - 2.0 * bit
+def z_sign_matrix(n_qubits: int) -> np.ndarray:
+    """(n, 2**n) matrix of Z_i eigenvalues: row i dotted with the diagonal of
+    an n-qubit state gives Tr(rho Z_i)."""
+    idx = np.arange(2**n_qubits)
+    bits = (idx >> (n_qubits - 1 - np.arange(n_qubits))[:, None]) & 1
+    return 1.0 - 2.0 * bits
 
 
 def expect_all_z(rho: np.ndarray) -> np.ndarray:
     """Vector of Tr(rho Z_i) for every qubit."""
-    n = _n_qubits_of(rho)
-    diag = np.real(np.diagonal(rho))
-    return np.array([np.dot(_z_signs(n, q), diag) for q in range(n)])
+    return z_sign_matrix(_n_qubits_of(rho)) @ np.real(np.diagonal(rho))
 
 
 def build_input_unitary(n_qubits: int, scaling: float, u: float) -> list:

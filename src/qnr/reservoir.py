@@ -7,15 +7,17 @@ after consuming input u_t.  The rest of the module covers spatial
 multiplexing, the NARMA2 benchmark target, least-squares readout training,
 NRMSE scoring, and the echo-state-property probe.
 
-When the compiled noise contains no gates that couple different 2-qubit
-blocks, the register factorizes exactly into independent pairs and the
-simulation runs on 4x4 pair states; otherwise the full 2**n-dimensional
-state is evolved.  Both paths implement the same map and are cross-checked
-in the test suite.
+One kernel implements the reservoir map.  Each step conjugates a block of
+qubit pairs by the kron of their pair unitaries (then the entangler gates, if
+any) and applies each pair's decoherence superoperator.  With no entangler
+gates and no caller-supplied initial state the register factorizes exactly
+and each pair is its own block; otherwise one block holds all qubits.  The
+test suite cross-checks the kernel against gate-by-gate evolution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -26,28 +28,21 @@ from . import qsim
 from .noise import NoiseSpec, compile_noise, CNOT_BIAS, OVER_ROTATION_RX, OVER_ROTATION_RZ
 from .rng import stream
 
-_FULL_SUPEROP_MAX_QUBITS = 5  # beyond this the superoperator no longer fits
-
 
 @dataclass
 class QnrConfig:
-    """Quantum reservoir instance: topology, input scaling, noise, seed, split."""
+    """Quantum reservoir instance: topology, input scaling, noise, seed."""
 
     n_qubits: int = 4
     input_scaling: float = math.pi
     noise: List[NoiseSpec] = field(default_factory=list)
     seed: int = 0
-    washout: int = 0
-    train_len: int = 0
-    eval_len: int = 0
 
     def __post_init__(self):
         if self.n_qubits % 2 != 0:
             raise ValueError("n_qubits must be even")
         if not 2 <= self.n_qubits <= qsim.MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [2, {qsim.MAX_QUBITS}]")
-        if min(self.washout, self.train_len, self.eval_len) < 0:
-            raise ValueError("split lengths must be non-negative")
 
 
 @dataclass
@@ -60,9 +55,6 @@ class EsnConfig:
     internal_prob: float = 0.5
     input_prob: float = 0.1
     seed: int = 0
-    washout: int = 0
-    train_len: int = 0
-    eval_len: int = 0
 
 
 @dataclass
@@ -94,113 +86,70 @@ class StateMatrix:
 # QNR simulation
 # ---------------------------------------------------------------------------
 
-def _kraus_superop(kraus, embed_left: bool) -> np.ndarray:
-    """16x16 superoperator of a single-qubit channel on one qubit of a pair."""
-    out = np.zeros((16, 16), dtype=complex)
-    for K in kraus:
-        Kf = np.kron(K, qsim.I2) if embed_left else np.kron(qsim.I2, K)
-        out += np.kron(Kf, Kf.conj())
-    return out
+def _pair_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two stacks of 2x2 matrices: (..., 4, 4)."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def _pair_deco_superop(compiled, i: int, j: int) -> Optional[np.ndarray]:
-    """Composed decoherence superoperator for pair (i, j); None if identity."""
+def _step_unitaries(config: QnrConfig, compiled, inputs: np.ndarray) -> np.ndarray:
+    """(T, n/2, 4, 4) pair step unitaries for the whole input sequence.
+
+    Pair p acts on qubits (i, j) = (2p, 2p+1) with RX_i, RX_j, CX, RZ_j, CX in
+    chronological order; over-rotation scales the RX/RZ angles and CNOT bias
+    turns CX into CRX(pi (1 + eps_j)).
+    """
+    n = config.n_qubits
+    eps = compiled.sampled_epsilons
+    sx = 1.0 + eps.get(OVER_ROTATION_RX, np.zeros(n))
+    sz = 1.0 + eps.get(OVER_ROTATION_RZ, np.zeros(n))
+    theta = config.input_scaling * inputs[:, None]
+    cx = (qsim.crx_block(np.pi * (1.0 + eps[CNOT_BIAS][1::2])) if CNOT_BIAS in eps
+          else qsim.CNOT_MATRIX)
+    B = _pair_kron(qsim.rx_matrix(theta * sx[0::2]), qsim.rx_matrix(theta * sx[1::2]))
+    B = cx @ B
+    B = _pair_kron(qsim.I2, qsim.rz_matrix(theta * sz[1::2])) @ B
+    return cx @ B
+
+
+def _pair_superop(compiled, pair: int) -> Optional[np.ndarray]:
+    """16x16 superoperator of the decoherence channels on one pair, composed
+    in spec order, acting on the row-major vectorized 4x4 pair state; None
+    when no channel touches the pair."""
     L = None
     for _, kraus, targets in compiled.decoherence:
-        for q, left in ((i, True), (j, False)):
+        for q in (2 * pair, 2 * pair + 1):
             if q in targets:
-                Lq = _kraus_superop(kraus, left)
+                on_pair = [np.kron(K, qsim.I2) if q % 2 == 0 else np.kron(qsim.I2, K)
+                           for K in kraus]
+                Lq = sum(np.kron(K, K.conj()) for K in on_pair)
                 L = Lq if L is None else Lq @ L
     return L
 
 
-def _pair_step_matrix(theta_xi, theta_xj, theta_z, cx) -> np.ndarray:
-    """4x4 block: RX_i, RX_j, CX, RZ_j, CX in chronological order."""
-    B = np.kron(qsim.rx_matrix(theta_xi), qsim.rx_matrix(theta_xj))
-    B = cx @ B
-    B = np.kron(qsim.I2, qsim.rz_matrix(theta_z)) @ B
-    return cx @ B
+def _evolve(steps: np.ndarray, superops: list, entangler: Optional[np.ndarray],
+            rho: np.ndarray) -> np.ndarray:
+    """Z expectations, one row per step, of a block of m pairs in state rho.
 
-
-_Z_PAIR_FIRST = np.array([1.0, 1.0, -1.0, -1.0])
-_Z_PAIR_SECOND = np.array([1.0, -1.0, 1.0, -1.0])
-
-
-def _run_pairs(config: QnrConfig, compiled, inputs: np.ndarray) -> np.ndarray:
-    """Exact factorized evolution when no cross-pair gates are present."""
-    n = config.n_qubits
-    s = config.input_scaling
-    eps = compiled.sampled_epsilons
-    sx = 1.0 + eps.get(OVER_ROTATION_RX, np.zeros(n))
-    sz = 1.0 + eps.get(OVER_ROTATION_RZ, np.zeros(n))
-    out = np.empty((len(inputs), n))
-    for i in range(0, n, 2):
-        j = i + 1
-        if CNOT_BIAS in eps:
-            cx = qsim.crx_block(np.pi * (1.0 + eps[CNOT_BIAS][j]))
-        else:
-            cx = qsim.CNOT_MATRIX
-        L = _pair_deco_superop(compiled, i, j)
-        rho = np.full((4, 4), 0.25, dtype=complex)
-        for t, u in enumerate(inputs):
-            B = _pair_step_matrix(s * u * sx[i], s * u * sx[j], s * u * sz[j], cx)
-            rho = B @ rho @ B.conj().T
-            if L is not None:
-                rho = (L @ rho.reshape(-1)).reshape(4, 4)
-            diag = np.real(np.diagonal(rho))
-            out[t, i] = _Z_PAIR_FIRST @ diag
-            out[t, j] = _Z_PAIR_SECOND @ diag
-    return out
-
-
-def _run_full(config: QnrConfig, compiled, inputs: np.ndarray,
-              initial: Optional[np.ndarray] = None) -> np.ndarray:
-    """Full-register evolution; needed once entangler gates couple the pairs."""
-    n = config.n_qubits
-    dim = 2**n
-    s = config.input_scaling
-    eps = compiled.sampled_epsilons
-    sx = 1.0 + eps.get(OVER_ROTATION_RX, np.zeros(n))
-    sz = 1.0 + eps.get(OVER_ROTATION_RZ, np.zeros(n))
-    cx_blocks = {}
-    for i in range(0, n, 2):
-        if CNOT_BIAS in eps:
-            cx_blocks[i] = qsim.crx_block(np.pi * (1.0 + eps[CNOT_BIAS][i + 1]))
-        else:
-            cx_blocks[i] = qsim.CNOT_MATRIX
-    ent = qsim.compile_unitary(compiled.entanglers, n) if compiled.entanglers else None
-
-    deco_superop = None
-    if compiled.decoherence and n <= _FULL_SUPEROP_MAX_QUBITS:
-        deco_superop = np.eye(dim * dim, dtype=complex)
-        for _, kraus, targets in compiled.decoherence:
-            for q in targets:
-                Lq = np.zeros((dim * dim, dim * dim), dtype=complex)
-                for K in kraus:
-                    Kf = np.eye(1, dtype=complex)
-                    for qq in range(n):
-                        Kf = np.kron(Kf, K if qq == q else qsim.I2)
-                    Lq += np.kron(Kf, Kf.conj())
-                deco_superop = Lq @ deco_superop
-
-    rho = qsim.prepare_plus_state(n) if initial is None else initial.copy()
-    out = np.empty((len(inputs), n))
-    for t, u in enumerate(inputs):
-        U = None
-        for i in range(0, n, 2):
-            j = i + 1
-            B = _pair_step_matrix(s * u * sx[i], s * u * sx[j], s * u * sz[j], cx_blocks[i])
-            U = B if U is None else np.kron(U, B)
-        if ent is not None:
-            U = ent @ U
+    Each step conjugates rho by the kron of the block's pair unitaries
+    ``steps[t]`` (m, 4, 4), followed by ``entangler`` unless it is None, then
+    contracts each pair's 16x16 superoperator (None: no decoherence) into
+    that pair's (ket, bra) axes.
+    """
+    m = steps.shape[1]
+    signs = qsim.z_sign_matrix(2 * m)
+    deco = [(p, L.reshape(4, 4, 4, 4)) for p, L in enumerate(superops) if L is not None]
+    out = np.empty((len(steps), 2 * m))
+    for t, pair_unitaries in enumerate(steps):
+        U = functools.reduce(np.kron, pair_unitaries)
+        if entangler is not None:
+            U = entangler @ U
         rho = U @ rho @ U.conj().T
-        if deco_superop is not None:
-            rho = (deco_superop @ rho.reshape(-1)).reshape(dim, dim)
-        elif compiled.decoherence:
-            for _, kraus, targets in compiled.decoherence:
-                for q in targets:
-                    rho = qsim.apply_kraus(rho, kraus, [q])
-        out[t] = qsim.expect_all_z(rho)
+        tens = rho.reshape((4,) * (2 * m))
+        for p, L in deco:
+            tens = qsim.contract_axes(L, tens, (p, m + p))
+        rho = tens.reshape(rho.shape)
+        out[t] = signs @ np.real(np.diagonal(rho))
     return out
 
 
@@ -215,12 +164,20 @@ def run_qnr(config: QnrConfig, inputs: Sequence[float],
     inputs = np.asarray(inputs, dtype=float)
     if not np.isfinite(inputs).all():
         raise ValueError("inputs must be finite")
-    compiled = compile_noise(config.noise, config.n_qubits, config.seed)
-    if compiled.has_cross_pair_gates or initial is not None:
-        # a caller-supplied state need not factorize across pairs
-        data = _run_full(config, compiled, inputs, initial)
+    n = config.n_qubits
+    compiled = compile_noise(config.noise, n, config.seed)
+    steps = _step_unitaries(config, compiled, inputs)
+    superops = [_pair_superop(compiled, p) for p in range(n // 2)]
+    if compiled.entanglers or initial is not None:
+        # entanglers couple qubits, and a caller-supplied state need not
+        # factorize: evolve the whole register as one block
+        ent = qsim.compile_unitary(compiled.entanglers, n) if compiled.entanglers else None
+        rho = qsim.prepare_plus_state(n) if initial is None else initial
+        data = _evolve(steps, superops, ent, rho)
     else:
-        data = _run_pairs(config, compiled, inputs)
+        plus = qsim.prepare_plus_state(2)
+        data = np.hstack([_evolve(steps[:, p:p + 1], superops[p:p + 1], None, plus)
+                          for p in range(n // 2)])
     return StateMatrix(data=data, provenance="simulated")
 
 

@@ -9,17 +9,17 @@ from qnr.noise import (AMPLITUDE_DAMPING, BIT_FLIP, CNOT_BIAS, DEPOLARIZING,
                        ENTANGLER_ONE_HOP, ENTANGLER_TWO_HOP, OVER_ROTATION_RX,
                        OVER_ROTATION_RZ, PHASE_DAMPING, NoiseSpec, compile_noise)
 from qnr.qsim import (apply_kraus, apply_unitary, build_input_unitary,
-                      expect_all_z, prepare_plus_state)
+                      expect_all_z, haar_product_state, prepare_plus_state)
 from qnr.reservoir import (EsnConfig, QnrConfig, StateMatrix, benchmark_masks,
                            esn_weights, esp_probe, fit_readout, narma2, nrmse,
                            run_esn, run_qnr, spatial_multiplex)
 
 
-def reference_qnr(config: QnrConfig, inputs) -> np.ndarray:
+def reference_qnr(config: QnrConfig, inputs, initial=None) -> np.ndarray:
     """Gate-by-gate evolution through the generic simulator ops; the oracle
-    for the optimized pair/full runners."""
+    for the block kernel of run_qnr."""
     compiled = compile_noise(config.noise, config.n_qubits, config.seed)
-    rho = prepare_plus_state(config.n_qubits)
+    rho = prepare_plus_state(config.n_qubits) if initial is None else initial
     rows = []
     for u in inputs:
         gates = compiled.perturb_circuit(
@@ -32,28 +32,41 @@ def reference_qnr(config: QnrConfig, inputs) -> np.ndarray:
     return np.array(rows)
 
 
+_REFERENCE_CASES = [
+    [NoiseSpec(AMPLITUDE_DAMPING, 0.1)],
+    [NoiseSpec(AMPLITUDE_DAMPING, 0.1), NoiseSpec(PHASE_DAMPING, 0.2),
+     NoiseSpec(DEPOLARIZING, 0.05)],
+    [NoiseSpec(AMPLITUDE_DAMPING, 0.1), NoiseSpec(OVER_ROTATION_RX, 0.1),
+     NoiseSpec(CNOT_BIAS, 0.1)],
+    [NoiseSpec(BIT_FLIP, 0.1), NoiseSpec(OVER_ROTATION_RZ, 0.2)],
+    [NoiseSpec(AMPLITUDE_DAMPING, 0.1), NoiseSpec(ENTANGLER_ONE_HOP, 0.1)],
+    [NoiseSpec(ENTANGLER_TWO_HOP, 0.15), NoiseSpec(PHASE_DAMPING, 0.1)],
+    [NoiseSpec(CNOT_BIAS, 0.1), NoiseSpec(ENTANGLER_ONE_HOP, 0.1)],
+]
+
+
 class TestRunQnr:
     def test_noiseless_states_are_zero(self, rng):
         cfg = QnrConfig(n_qubits=4, seed=3)
         sm = run_qnr(cfg, rng.uniform(0, 1, size=200))
         assert np.abs(sm.data).max() <= 1e-10
 
-    @pytest.mark.parametrize("specs", [
-        [NoiseSpec(AMPLITUDE_DAMPING, 0.1)],
-        [NoiseSpec(AMPLITUDE_DAMPING, 0.1), NoiseSpec(PHASE_DAMPING, 0.2),
-         NoiseSpec(DEPOLARIZING, 0.05)],
-        [NoiseSpec(AMPLITUDE_DAMPING, 0.1), NoiseSpec(OVER_ROTATION_RX, 0.1),
-         NoiseSpec(CNOT_BIAS, 0.1)],
-        [NoiseSpec(BIT_FLIP, 0.1), NoiseSpec(OVER_ROTATION_RZ, 0.2)],
-        [NoiseSpec(AMPLITUDE_DAMPING, 0.1), NoiseSpec(ENTANGLER_ONE_HOP, 0.1)],
-        [NoiseSpec(ENTANGLER_TWO_HOP, 0.15), NoiseSpec(PHASE_DAMPING, 0.1)],
-        [NoiseSpec(CNOT_BIAS, 0.1), NoiseSpec(ENTANGLER_ONE_HOP, 0.1)],
+    @pytest.mark.parametrize("n_qubits, specs, initial", [
+        *[pytest.param(4, specs, False, id=f"specs{k}")
+          for k, specs in enumerate(_REFERENCE_CASES)],
+        # the one-hop entangler's only gate lies inside the single pair
+        pytest.param(2, [NoiseSpec(ENTANGLER_ONE_HOP, 0.1), NoiseSpec(AMPLITUDE_DAMPING, 0.1)],
+                     False, id="n2-one-hop"),
+        pytest.param(2, _REFERENCE_CASES[2], False, id="n2-specs2"),
+        *[pytest.param(6, _REFERENCE_CASES[k], False, id=f"n6-specs{k}") for k in (0, 2, 4, 6)],
+        *[pytest.param(4, _REFERENCE_CASES[k], True, id=f"initial-specs{k}") for k in (0, 1)],
     ])
-    def test_matches_gate_by_gate_reference(self, specs, rng):
-        cfg = QnrConfig(n_qubits=4, noise=specs, seed=11)
+    def test_matches_gate_by_gate_reference(self, n_qubits, specs, initial, rng):
+        cfg = QnrConfig(n_qubits=n_qubits, noise=specs, seed=11)
+        rho0 = haar_product_state(n_qubits, rng) if initial else None
         inputs = rng.uniform(0, 1, size=25)
-        fast = run_qnr(cfg, inputs).data
-        slow = reference_qnr(cfg, inputs)
+        fast = run_qnr(cfg, inputs, initial=rho0).data
+        slow = reference_qnr(cfg, inputs, initial=rho0)
         assert np.abs(fast - slow).max() <= 1e-12
 
     def test_bit_identical_reruns(self, rng):
