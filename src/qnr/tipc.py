@@ -134,44 +134,33 @@ def enumerate_bases(max_degree: int, max_input_delay: int, max_state_delay: int,
         raise ValueError("max_degree and max_input_delay must be >= 1")
     if family not in ("monomial", "legendre"):
         raise ValueError(f"unknown basis family {family!r}")
-    variables = [("u", s) for s in range(1, max_input_delay + 1)]
-    variables += [
-        ("x", k, s)
-        for s in range(1, max_state_delay + 1)
-        for k in range(rank)
-    ]
-    terms = []
+    # (feature k, or None for the input; delay s), in the sort key's order
+    variables = [(None, s) for s in range(1, max_input_delay + 1)]
+    variables += [(k, s) for s in range(1, max_state_delay + 1) for k in range(rank)]
+    keyed = []
     for degree in range(1, max_degree + 1):
         for combo in itertools.combinations_with_replacement(range(len(variables)), degree):
-            inp: Dict[int, int] = {}
-            sta: Dict[Tuple[int, int], int] = {}
+            neg = [0] * len(variables)
             for vi in combo:
-                v = variables[vi]
-                if v[0] == "u":
-                    inp[v[1]] = inp.get(v[1], 0) + 1
+                neg[vi] -= 1
+            inp, sta = [], []
+            for vi in dict.fromkeys(combo):
+                k, s = variables[vi]
+                if k is None:
+                    inp.append((s, -neg[vi]))
                 else:
-                    sta[(v[1], v[2])] = sta.get((v[1], v[2]), 0) + 1
-            terms.append(BasisTerm(
-                input_exponents=tuple(sorted(inp.items())),
-                state_exponents=tuple(sorted((k, s, e) for (k, s), e in sta.items())),
-                family=family,
-            ))
-            if len(terms) > term_cap:
+                    sta.append((k, s, -neg[vi]))
+            term = BasisTerm(input_exponents=tuple(inp),
+                             state_exponents=tuple(sorted(sta)), family=family)
+            state_order = degree - sum(e for _, e in inp)
+            max_delay = max(variables[vi][1] for vi in combo)
+            keyed.append(((degree, state_order, max_delay, tuple(neg)), term))
+            if len(keyed) > term_cap:
                 raise ValueError(
                     f"basis enumeration exceeds the term cap ({term_cap}); "
                     "reduce max_degree or the delay windows")
-
-    def key(t: BasisTerm):
-        inp_vec = tuple(-dict(t.input_exponents).get(s, 0)
-                        for s in range(1, max_input_delay + 1))
-        sta = {(k, s): e for k, s, e in t.state_exponents}
-        sta_vec = tuple(-sta.get((k, s), 0)
-                        for s in range(1, max_state_delay + 1)
-                        for k in range(rank))
-        return (t.degree, t.state_order, t.max_delay, inp_vec, sta_vec)
-
-    terms.sort(key=key)
-    return terms
+    keyed.sort(key=lambda pair: pair[0])
+    return [term for _, term in keyed]
 
 
 def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: int,
@@ -184,6 +173,8 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     expansion delay-s factor of row i reads ``inputs[input_offset + i - s + 1]``.
     Legendre input factors are evaluated after affinely mapping the declared
     input range onto [-1, 1]; state factors read raw powers of ``xhat``.
+    Each distinct factor is evaluated once per call and shared by the terms
+    that contain it.
     """
     inputs = np.asarray(inputs, dtype=float)
     if xhat is not None and n_rows is None:
@@ -206,18 +197,23 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
 
     out = np.empty((n_rows, len(terms)))
     rows = np.arange(start_row, start_row + n_rows)
+    factors: Dict[tuple, np.ndarray] = {}   # (s, e, family) or (k, s, e)
     for j, term in enumerate(terms):
         col = np.ones(n_rows)
         for s, e in term.input_exponents:
-            seg_idx = input_offset + rows - s + 1
-            if term.family == "legendre":
-                col = col * eval_legendre(e, scaled[seg_idx])
-            else:
-                col = col * inputs[seg_idx] ** e
+            key = (s, e, term.family)
+            if key not in factors:
+                seg_idx = input_offset + rows - s + 1
+                factors[key] = (eval_legendre(e, scaled[seg_idx])
+                                if term.family == "legendre" else inputs[seg_idx] ** e)
+            col = col * factors[key]
         for k, s, e in term.state_exponents:
             if xhat is None:
                 raise ValueError("state-history term without normalized states")
-            col = col * xhat[rows - s, k] ** e
+            key = (k, s, e)
+            if key not in factors:
+                factors[key] = xhat[rows - s, k] ** e
+            col = col * factors[key]
         out[:, j] = col
     return out
 
@@ -240,11 +236,19 @@ def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
     blocks so the projections run as matrix products, which changes nothing
     about the result beyond float rounding.  The constant column, when
     prepended, centers every retained basis but is not reported.
+
+    Once T vectors are kept (the constant included) they span R^T, and every
+    later column is dropped unprojected.  That changes no decision at sane
+    scales: such a column's residual is roundoff, ~1e-16 of its norm, which
+    stays under the floor unless the norm nears 1e8 * sqrt(T).  Above that
+    the stop keeps roundoff from passing as more than T orthonormal
+    vectors.  Q is column-major, so its leading columns are contiguous for
+    the block projections.
     """
     A = np.asarray(basis, dtype=float)
     T, B = A.shape
     floor = drop_tol * np.sqrt(T)
-    Q = np.empty((T, B + 1))
+    Q = np.empty((T, min(B + 1, T)), order="F")
     k = 0
     if prepend_constant:
         Q[:, 0] = 1.0 / np.sqrt(T)
@@ -253,12 +257,18 @@ def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
     kept: List[int] = []
     dropped: List[int] = []
     for j0 in range(0, B, block):
-        blk = A[:, j0:j0 + min(block, B - j0)].copy()
+        if k == T:
+            dropped.extend(range(j0, B))
+            break
+        blk = A[:, j0:j0 + min(block, B - j0)].copy(order="F")
         for _ in range(2):
             if k:
                 blk -= Q[:, :k] @ (Q[:, :k].T @ blk)
         k_block = k
         for c in range(blk.shape[1]):
+            if k == T:
+                dropped.append(j0 + c)
+                continue
             v = blk[:, c]
             for _ in range(2):
                 if k > k_block:

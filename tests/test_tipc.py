@@ -1,17 +1,98 @@
 """Capacity-analysis tests: SVD normalization, basis machinery, thresholds."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import eval_legendre
 
+import qnr.tipc as tipc
 from qnr.reservoir import StateMatrix
 from qnr.tipc import (BasisTerm, TipcSettings, analyze_states, capacities,
                       chi2_threshold, enumerate_bases, evaluate_bases,
                       ipc_of_target, normalize_states, orthonormalize, profile,
                       shuffle_surrogate_threshold)
+
+
+def reference_enumerate(max_degree, max_input_delay, max_state_delay, rank,
+                        family="monomial"):
+    """Every term built from dicts, then sorted by a key rebuilt per term."""
+    variables = [("u", s) for s in range(1, max_input_delay + 1)]
+    variables += [("x", k, s) for s in range(1, max_state_delay + 1)
+                  for k in range(rank)]
+    terms = []
+    for degree in range(1, max_degree + 1):
+        for combo in itertools.combinations_with_replacement(range(len(variables)), degree):
+            inp, sta = {}, {}
+            for vi in combo:
+                v = variables[vi]
+                if v[0] == "u":
+                    inp[v[1]] = inp.get(v[1], 0) + 1
+                else:
+                    sta[(v[1], v[2])] = sta.get((v[1], v[2]), 0) + 1
+            terms.append(BasisTerm(
+                input_exponents=tuple(sorted(inp.items())),
+                state_exponents=tuple(sorted((k, s, e) for (k, s), e in sta.items())),
+                family=family))
+
+    def key(t):
+        inp_vec = tuple(-dict(t.input_exponents).get(s, 0)
+                        for s in range(1, max_input_delay + 1))
+        sta = {(k, s): e for k, s, e in t.state_exponents}
+        sta_vec = tuple(-sta.get((k, s), 0)
+                        for s in range(1, max_state_delay + 1) for k in range(rank))
+        return (t.degree, t.state_order, t.max_delay, inp_vec, sta_vec)
+
+    return sorted(terms, key=key)
+
+
+def reference_evaluate(terms, inputs, input_offset, xhat=None, start_row=0,
+                       n_rows=None, input_range=(-1.0, 1.0)):
+    """Every factor of every term evaluated afresh, in the library's order."""
+    if n_rows is None:
+        n_rows = xhat.shape[0] - start_row
+    lo, hi = input_range
+    scaled = (2.0 * inputs - (lo + hi)) / (hi - lo)
+    rows = np.arange(start_row, start_row + n_rows)
+    out = np.empty((n_rows, len(terms)))
+    for j, term in enumerate(terms):
+        col = np.ones(n_rows)
+        for s, e in term.input_exponents:
+            idx = input_offset + rows - s + 1
+            if term.family == "legendre":
+                col = col * eval_legendre(e, scaled[idx])
+            else:
+                col = col * inputs[idx] ** e
+        for k, s, e in term.state_exponents:
+            col = col * xhat[rows - s, k] ** e
+        out[:, j] = col
+    return out
+
+
+def reference_mgs(A, drop_tol=1e-8):
+    """Two-pass modified Gram-Schmidt against the constant, one column at a
+    time, with a row-major Q, no blocks and no stop at full rank."""
+    T, B = A.shape
+    floor = drop_tol * np.sqrt(T)
+    Q = np.empty((T, B + 1))
+    Q[:, 0] = 1.0 / np.sqrt(T)
+    k = 1
+    kept, dropped = [], []
+    for j in range(B):
+        v = A[:, j].copy()
+        for _ in range(2):
+            v -= Q[:, :k] @ (Q[:, :k].T @ v)
+        nv = np.linalg.norm(v)
+        if nv < floor:
+            dropped.append(j)
+            continue
+        Q[:, k] = v / nv
+        kept.append(j)
+        k += 1
+    return Q[:, 1:k], kept, dropped
 
 
 def chi2_quantile_oracle(r: int, q: float) -> float:
@@ -97,6 +178,13 @@ class TestEnumerateBases:
         with pytest.raises(ValueError, match="term cap"):
             enumerate_bases(3, 40, 2, 8, term_cap=100)
 
+    @pytest.mark.parametrize("degree,L,lx,rank", [
+        (1, 3, 0, 0), (2, 4, 1, 2), (3, 5, 2, 2), (3, 2, 2, 3), (4, 3, 1, 1)])
+    @pytest.mark.parametrize("family", ["monomial", "legendre"])
+    def test_matches_reference_order(self, degree, L, lx, rank, family):
+        assert enumerate_bases(degree, L, lx, rank, family) == \
+            reference_enumerate(degree, L, lx, rank, family)
+
     def test_labels_use_figure_convention(self):
         t1 = BasisTerm(input_exponents=((1, 1),), family="legendre")
         t2 = BasisTerm(input_exponents=((3, 2),), family="legendre")
@@ -145,6 +233,16 @@ class TestEvaluateBases:
         assert np.allclose(out[:, 0], xhat[0:10, 1])
 
 
+    @pytest.mark.parametrize("family", ["monomial", "legendre"])
+    def test_matches_per_factor_reference(self, rng, family):
+        u, x, off = _echo_states(rng, 60)
+        ns = normalize_states(x)
+        terms = enumerate_bases(3, 6, 2, ns.rank, family)
+        assert any(t.state_exponents for t in terms)
+        fast = evaluate_bases(terms, u, off, xhat=ns.P, start_row=2)
+        assert np.array_equal(fast, reference_evaluate(terms, u, off, xhat=ns.P,
+                                                       start_row=2))
+
 class TestOrthonormalize:
     def test_orthonormal_input_unchanged_up_to_sign(self, rng):
         Q0, _ = np.linalg.qr(rng.normal(size=(60, 4)))
@@ -188,6 +286,49 @@ class TestOrthonormalize:
         assert a.kept == b.kept
         assert np.abs(a.Q - b.Q).max() <= 1e-9
 
+
+    def test_wide_rank_deficient_basis_matches_reference(self, rng):
+        u, x, off = _echo_states(rng, 60)
+        ns = normalize_states(x)
+        terms = enumerate_bases(3, 6, 2, ns.rank, "legendre")
+        B = evaluate_bases(terms, u, off, xhat=ns.P, start_row=2)
+        Q, kept, dropped = reference_mgs(B)
+        res = orthonormalize(B)
+        assert len(kept) == B.shape[0] - 1 < B.shape[1]  # saturates R^T
+        # the late kept columns lose ~1e3 of their norm to the projection, so
+        # any reordering of the same arithmetic moves Q by ~1e-12 here
+        assert res.kept == kept and res.dropped == dropped
+        assert np.abs(res.Q - Q).max() <= 1e-12
+
+    def test_tall_legendre_basis_matches_reference(self, rng):
+        u = rng.uniform(-1, 1, size=2100)
+        terms = enumerate_bases(3, 8, 0, 0, "legendre")
+        B = evaluate_bases(terms, u, input_offset=100, n_rows=2000)
+        Q, kept, dropped = reference_mgs(B)
+        res = orthonormalize(B)
+        assert res.kept == kept and res.dropped == dropped
+        assert np.abs(res.Q - Q).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e9])
+    def test_never_more_vectors_than_rows(self, rng, scale):
+        # an absolute drop floor alone let roundoff residuals of huge
+        # columns through once the kept span was already all of R^T
+        T = 10
+        res = orthonormalize(rng.normal(size=(T, 40)) * scale)
+        assert len(res.kept) <= T - 1
+        full = np.column_stack([np.full(T, 1.0 / np.sqrt(T)), res.Q])
+        assert np.abs(full.T @ full - np.eye(full.shape[1])).max() <= 1e-12
+
+    @pytest.mark.parametrize("factor,kept", [(0.5, [0]), (2.0, [0, 1])])
+    def test_drop_floor_edge(self, rng, factor, kept):
+        # the second column's component orthogonal to [constant, a] has norm
+        # factor * drop_tol * sqrt(T)
+        T, drop_tol = 100, 1e-8
+        a = rng.normal(size=T)
+        W, _ = np.linalg.qr(np.column_stack([np.ones(T), a, rng.normal(size=T)]))
+        b = 3.0 * a + 0.7 + factor * drop_tol * np.sqrt(T) * W[:, 2]
+        res = orthonormalize(np.column_stack([a, b]), drop_tol=drop_tol)
+        assert res.kept == kept
 
 class TestCapacities:
     def test_exact_reconstruction_scores_one(self, rng):
@@ -350,6 +491,28 @@ class TestAnalyzeStates:
             exceed += c.capacity >= th
         assert exceed <= 3 * p * n_terms + 1
 
+
+    def test_short_T_more_terms_than_rows(self, rng, monkeypatch):
+        seen = []
+
+        def spy(basis, *args, **kwargs):
+            seen.append(orthonormalize(basis, *args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(tipc, "orthonormalize", spy)
+        u, x, off = _echo_states(rng, 30)
+        settings = TipcSettings(max_degree=2, max_input_delay=6,
+                                max_state_delay=2, input_range=(-1, 1),
+                                family="legendre")
+        prof = analyze_states(x, u, off, settings)
+        terms = enumerate_bases(2, 6, 2, prof.rank, "legendre")
+        (ortho,) = seen
+        assert len(terms) > ortho.Q.shape[0]
+        assert len(prof.records) == len(terms)
+        assert [r.term for r in prof.records] == terms
+        assert len(ortho.kept) == ortho.Q.shape[0] - 1
+        assert all(prof.records[j].capacity == 0.0 for j in ortho.dropped)
+        assert sum(r.capacity for r in prof.records) <= prof.rank + 1e-9
 
 class TestSurrogateThreshold:
     def test_deterministic_under_seed(self, rng):
