@@ -202,8 +202,8 @@ def _analyze_matrix(cfg, sm: StateMatrix, inputs, input_offset, settings):
 def _per_qubit_rows(cfg, sm: StateMatrix, inputs, input_offset, settings):
     rows = []
     for q in range(sm.n_features):
-        prof = _analyze_matrix(cfg, StateMatrix(sm.data[:, [q]], sm.provenance),
-                               inputs, input_offset, settings)
+        prof = _analyze_matrix(cfg, StateMatrix(sm.data[:, [q]]), inputs, input_offset,
+                               settings)
         rows.append((q, prof.rank, prof.c_tiv_tot, prof.c_tv_tot, prof.c_tot))
     return rows
 
@@ -213,16 +213,11 @@ def cmd_tipc(cfg) -> int:
     settings = _tipc_settings(cfg)
     artifacts = []
     if cfg.ingest.states:
-        bundle = dataio.TraceBundle(cfg.ingest.inputs, list(cfg.ingest.states),
-                                    dict(cfg.ingest.metadata))
-        trace = dataio.ingest_bundle(bundle)
+        inputs, states = dataio.read_trace(cfg.ingest.inputs, cfg.ingest.states)
         # recorded traces carry no washout rows; delays eat into the window
         offset = cfg.tipc.max_input_delay
-        runs = [
-            (f"trace{i}", None, StateMatrix(sm.data[offset:], sm.provenance),
-             trace.inputs, offset)
-            for i, sm in enumerate(trace.states)
-        ]
+        runs = [(f"trace{i}", None, StateMatrix(sm.data[offset:]), inputs, offset)
+                for i, sm in enumerate(states)]
     else:
         w, span = cfg.tipc.washout, cfg.tipc.analysis_len
         inputs = _draw_inputs(cfg, w + span)
@@ -230,8 +225,7 @@ def cmd_tipc(cfg) -> int:
         for i, mask, qc in cfg.qnr_instances():
             sm = run_qnr(qc, inputs)
             name = f"inst{i:04d}" if mask is None else f"m{mask:04d}"
-            runs.append((name, mask, StateMatrix(sm.data[w:], sm.provenance),
-                         inputs, w))
+            runs.append((name, mask, StateMatrix(sm.data[w:]), inputs, w))
     summary = []
     for name, mask, sm, inputs_used, offset in runs:
         prof = _analyze_matrix(cfg, sm, inputs_used, offset, settings)
@@ -240,32 +234,26 @@ def cmd_tipc(cfg) -> int:
         dataio.write_profile_json(pj, prof)
         dataio.write_profile_degrees_csv(pc, prof)
         artifacts += [pj, pc]
-        qrows = _per_qubit_rows(cfg, sm, inputs_used, offset, settings)
         pq = out / f"profile_{name}_per_qubit.csv"
-        with open(pq, "w") as fh:
-            fh.write("qubit,rank,c_tiv_tot,c_tv_tot,c_tot\n")
-            for row in qrows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+        dataio.write_csv(pq, ["qubit", "rank", "c_tiv_tot", "c_tv_tot", "c_tot"],
+                         _per_qubit_rows(cfg, sm, inputs_used, offset, settings))
         artifacts.append(pq)
-        summary.append((name, mask, prof.rank, prof.c_tiv_tot, prof.c_tv_tot,
-                        prof.c_tot))
+        summary.append((name, "" if mask is None else mask, prof.rank, prof.c_tiv_tot,
+                        prof.c_tv_tot, prof.c_tot))
         print(f"tipc {name}: r={prof.rank} C_TIV={prof.c_tiv_tot:.4f} "
               f"C_TV={prof.c_tv_tot:.4f}")
     spath = out / "tipc_summary.csv"
-    with open(spath, "w") as fh:
-        fh.write("name,mask,rank,c_tiv_tot,c_tv_tot,c_tot\n")
-        for row in summary:
-            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+    dataio.write_csv(spath, ["name", "mask", "rank", "c_tiv_tot", "c_tv_tot", "c_tot"],
+                     summary)
     artifacts.append(spath)
     if cfg.ingest.states and cfg.ingest.metadata:
         # raw pairing of device metadata (error rates etc.) with capacities
         hpath = out / "hardware_capacity.csv"
         keys = sorted(cfg.ingest.metadata)
-        with open(hpath, "w") as fh:
-            fh.write("name," + ",".join(keys) + ",c_tiv_tot,c_tv_tot,rank\n")
-            for name, _, rank, tiv, tv, _ in summary:
-                meta = ",".join(str(cfg.ingest.metadata[k]) for k in keys)
-                fh.write(f"{name},{meta},{tiv},{tv},{rank}\n")
+        meta = [cfg.ingest.metadata[k] for k in keys]
+        dataio.write_csv(hpath, ["name", *keys, "c_tiv_tot", "c_tv_tot", "rank"],
+                         ((name, *meta, tiv, tv, rank)
+                          for name, _, rank, tiv, tv, _ in summary))
         artifacts.append(hpath)
     dataio.write_json(out / "manifest.json", _manifest(cfg, "tipc", artifacts))
     return 0
@@ -321,25 +309,22 @@ def cmd_ingest(cfg) -> int:
     out = _outdir(cfg)
     if not cfg.ingest.states:
         raise cfgmod.ConfigError("ingest.states must list at least one CSV")
-    bundle = dataio.TraceBundle(cfg.ingest.inputs, list(cfg.ingest.states),
-                                dict(cfg.ingest.metadata))
-    trace = dataio.ingest_bundle(bundle)
+    inputs, states = dataio.read_trace(cfg.ingest.inputs, cfg.ingest.states)
     artifacts = []
     ipath = out / "ingested_inputs.csv"
-    dataio.write_inputs_csv(ipath, trace.inputs)
+    dataio.write_inputs_csv(ipath, inputs)
     artifacts.append(ipath)
     meta = []
-    for i, sm in enumerate(trace.states):
+    for i, sm in enumerate(states):
         spath = out / f"ingested_states_{i:04d}.csv"
         dataio.write_states_csv(spath, sm)
         artifacts.append(spath)
         meta.append({"index": i, "steps": sm.n_steps, "features": sm.n_features,
-                     "source": str(bundle.states_csvs[i])})
+                     "source": str(cfg.ingest.states[i])})
     dataio.write_json(out / "manifest.json",
                       _manifest(cfg, "ingest", artifacts,
-                                {"traces": meta, "metadata": trace.metadata}))
-    print(f"ingest: validated {len(trace.states)} trace(s), "
-          f"T={trace.states[0].n_steps}")
+                                {"traces": meta, "metadata": cfg.ingest.metadata}))
+    print(f"ingest: validated {len(states)} trace(s), T={states[0].n_steps}")
     return 0
 
 

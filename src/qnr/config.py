@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 import yaml
 
-from .noise import NOISE_KINDS, NoiseSpec
+from .noise import NOISE_KINDS, NoiseSpec, specs_from_mask
 from .reservoir import EsnConfig, QnrConfig, benchmark_masks
 from .rng import stream
 
@@ -84,6 +84,12 @@ class ReservoirSpec:
             raise ConfigError("reservoir.instances must be >= 1")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ConfigError("reservoir.noise_rate must be in [0, 1]")
+        n_masks = 2 ** len(NOISE_KINDS)
+        if self.masks not in (None, "all") and not (
+                isinstance(self.masks, (list, tuple))
+                and all(type(m) is int and 0 <= m < n_masks for m in self.masks)):
+            raise ConfigError(f"reservoir.masks must be null, \"all\" or a list of "
+                              f"integers in [0, {n_masks - 1}], got {self.masks!r}")
         if self.noise is not None:
             for entry in self.noise:
                 keys = set(entry)
@@ -99,7 +105,7 @@ class ReservoirSpec:
             return benchmark_masks(self.instances)
         if self.masks == "all":
             return list(range(1024))
-        return [int(m) for m in self.masks]
+        return list(self.masks)
 
     def explicit_specs(self) -> List[NoiseSpec]:
         return [
@@ -211,9 +217,7 @@ class ExperimentConfig:
                 out.append((i, None, self._qnr_config(specs, i)))
             return out
         for i, mask in enumerate(res.mask_list()):
-            specs = [NoiseSpec(NOISE_KINDS[b], res.noise_rate)
-                     for b in range(len(NOISE_KINDS)) if mask >> b & 1]
-            out.append((i, mask, self._qnr_config(specs, i)))
+            out.append((i, mask, self._qnr_config(specs_from_mask(mask, res.noise_rate), i)))
         return out
 
     def _qnr_config(self, specs: List[NoiseSpec], index: int) -> QnrConfig:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,12 +24,17 @@ class IngestError(ValueError):
     """Malformed trace data; the message carries file and line context."""
 
 
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]):
+    """Header line, then one line per row of ``str``-formatted cells."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def write_inputs_csv(path, values: Sequence[float]):
     values = np.asarray(values, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("t,value\n")
-        for t, v in enumerate(values):
-            fh.write(f"{t},{_FMT % v}\n")
+    write_csv(path, ["t", "value"], ((t, _FMT % v) for t, v in enumerate(values)))
 
 
 def read_inputs_csv(path) -> np.ndarray:
@@ -40,16 +44,13 @@ def read_inputs_csv(path) -> np.ndarray:
 
 def write_states_csv(path, states):
     data = states.data if isinstance(states, StateMatrix) else np.asarray(states, dtype=float)
-    cols = ",".join(f"x{i + 1}" for i in range(data.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(f"t,{cols}\n")
-        for t in range(data.shape[0]):
-            fh.write(str(t) + "," + ",".join(_FMT % v for v in data[t]) + "\n")
+    header = ["t"] + [f"x{i + 1}" for i in range(data.shape[1])]
+    write_csv(path, header, ([t] + [_FMT % v for v in row] for t, row in enumerate(data)))
 
 
 def read_states_csv(path) -> StateMatrix:
     rows = _read_numeric_csv(path, expected_first="t", min_cols=2)
-    return StateMatrix(data=rows[:, 1:], provenance="ingested")
+    return StateMatrix(rows[:, 1:])
 
 
 def _read_numeric_csv(path, expected_first: str, min_cols: int,
@@ -84,31 +85,15 @@ def _read_numeric_csv(path, expected_first: str, min_cols: int,
     return out
 
 
-@dataclass
-class TraceBundle:
-    """Paths of one recorded reservoir run plus free-form device metadata."""
-
-    inputs_csv: str
-    states_csvs: List[str]
-    metadata: Dict = field(default_factory=dict)
-
-
-@dataclass
-class IngestedTrace:
-    inputs: np.ndarray
-    states: List[StateMatrix]
-    metadata: Dict
-
-
-def ingest_bundle(bundle: TraceBundle) -> IngestedTrace:
-    """Read and validate a trace bundle; all files must agree on T."""
-    inputs = read_inputs_csv(bundle.inputs_csv)
-    states = [read_states_csv(p) for p in bundle.states_csvs]
-    for path, sm in zip(bundle.states_csvs, states):
+def read_trace(inputs_csv, states_csvs: Sequence) -> Tuple[np.ndarray, List[StateMatrix]]:
+    """Read a recorded run's inputs and state matrices; all files must agree on T."""
+    inputs = read_inputs_csv(inputs_csv)
+    states = [read_states_csv(p) for p in states_csvs]
+    for path, sm in zip(states_csvs, states):
         if sm.n_steps != len(inputs):
             raise IngestError(
                 f"{path}: {sm.n_steps} state rows but {len(inputs)} input rows")
-    return IngestedTrace(inputs=inputs, states=states, metadata=dict(bundle.metadata))
+    return inputs, states
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +141,9 @@ def write_profile_json(path, prof: CapacityProfile):
 
 def write_profile_degrees_csv(path, prof: CapacityProfile):
     """Plot-ready per-degree aggregates: degree, TIV total, TV total."""
-    with open(path, "w") as fh:
-        fh.write("degree,tiv_total,tv_total\n")
-        for d in prof.degrees():
-            fh.write(f"{d},{_FMT % prof.tiv_by_degree.get(d, 0.0)},"
-                     f"{_FMT % prof.tv_by_degree.get(d, 0.0)}\n")
+    tiv, tv = prof.tiv_by_degree, prof.tv_by_degree
+    write_csv(path, ["degree", "tiv_total", "tv_total"],
+              ((d, _FMT % tiv.get(d, 0.0), _FMT % tv.get(d, 0.0)) for d in prof.degrees()))
 
 
 def write_json(path, payload: dict):
@@ -170,7 +153,4 @@ def write_json(path, payload: dict):
 
 
 def write_esp_csv(path, deltas: np.ndarray):
-    with open(path, "w") as fh:
-        fh.write("t,delta\n")
-        for t, v in enumerate(deltas):
-            fh.write(f"{t},{_FMT % v}\n")
+    write_csv(path, ["t", "delta"], ((t, _FMT % v) for t, v in enumerate(deltas)))

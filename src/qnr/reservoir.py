@@ -62,7 +62,6 @@ class StateMatrix:
     """T x N matrix of reservoir readouts, time-ordered rows."""
 
     data: np.ndarray
-    provenance: str = "simulated"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -70,8 +69,6 @@ class StateMatrix:
             raise ValueError("state matrix must be 2-D")
         if not np.isfinite(self.data).all():
             raise ValueError("state matrix contains NaN or Inf")
-        if self.provenance not in ("simulated", "ingested"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
     @property
     def n_steps(self) -> int:
@@ -178,7 +175,7 @@ def run_qnr(config: QnrConfig, inputs: Sequence[float],
         plus = qsim.prepare_plus_state(2)
         data = np.hstack([_evolve(steps[:, p:p + 1], superops[p:p + 1], None, plus)
                           for p in range(n // 2)])
-    return StateMatrix(data=data, provenance="simulated")
+    return StateMatrix(data)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +208,7 @@ def run_esn(config: EsnConfig, inputs: Sequence[float]) -> StateMatrix:
     for t, u in enumerate(inputs):
         x = np.tanh(W @ x + w_in * u)
         out[t] = x
-    return StateMatrix(data=out, provenance="simulated")
+    return StateMatrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +222,7 @@ def spatial_multiplex(matrices: Sequence[StateMatrix]) -> StateMatrix:
     steps = {m.n_steps for m in matrices}
     if len(steps) != 1:
         raise ValueError(f"time length mismatch across reservoirs: {sorted(steps)}")
-    data = np.hstack([m.data for m in matrices])
-    prov = "simulated" if all(m.provenance == "simulated" for m in matrices) else "ingested"
-    return StateMatrix(data=data, provenance=prov)
+    return StateMatrix(np.hstack([m.data for m in matrices]))
 
 
 def narma2(inputs: Sequence[float]) -> np.ndarray:

@@ -437,8 +437,7 @@ class TipcSettings:
 
 def analyze_states(states, inputs: np.ndarray, input_offset: int,
                    settings: TipcSettings,
-                   surrogate_rng: Optional[np.random.Generator] = None,
-                   include_state_history: bool = True) -> CapacityProfile:
+                   surrogate_rng: Optional[np.random.Generator] = None) -> CapacityProfile:
     """Full TIPC profile of a state matrix against its input sequence.
 
     ``input_offset`` positions the states in the input array: state row i
@@ -451,14 +450,11 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     ns = normalize_states(X, settings.sv_cutoff)
     if ns.rank == 0:
         return _empty_profile()
-    lx = settings.max_state_delay if include_state_history else 0
+    lx = settings.max_state_delay
     family = settings.resolved_family()
     terms = enumerate_bases(settings.max_degree, settings.max_input_delay,
                             lx, ns.rank, family, settings.term_cap)
-    if lx > 0:
-        P_eval = _reorthonormalize_rows(ns.P[lx:])
-    else:
-        P_eval = ns.P
+    P_eval = normalize_states(ns.P[lx:], 1e-10, abs_floor=1e-12).P if lx > 0 else ns.P
     T_eval = P_eval.shape[0]
     B = evaluate_bases(terms, inputs, input_offset, xhat=ns.P, start_row=lx,
                        n_rows=T_eval, input_range=settings.input_range)
@@ -479,15 +475,6 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     return profile(recs, th, ns.rank, params)
 
 
-def _reorthonormalize_rows(P_rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row-sliced P, recentered; rank is preserved
-    for any non-degenerate slice."""
-    Pc = P_rows - P_rows.mean(axis=0)
-    U, sv, _ = np.linalg.svd(Pc, full_matrices=False)
-    r = int(np.sum(sv >= max(1e-10 * sv[0], 1e-12)))
-    return U[:, :r]
-
-
 def ipc_of_target(y: np.ndarray, inputs: np.ndarray, input_offset: int,
                   settings: TipcSettings,
                   surrogate_rng: Optional[np.random.Generator] = None) -> CapacityProfile:
@@ -499,5 +486,5 @@ def ipc_of_target(y: np.ndarray, inputs: np.ndarray, input_offset: int,
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     if np.std(y) == 0:
         raise ValueError("target sequence is constant")
-    return analyze_states(y, inputs, input_offset, settings,
-                          surrogate_rng=surrogate_rng, include_state_history=False)
+    return analyze_states(y, inputs, input_offset, replace(settings, max_state_delay=0),
+                          surrogate_rng=surrogate_rng)

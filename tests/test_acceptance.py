@@ -326,10 +326,10 @@ def test_ingest_profile_matches_in_memory_bit_level(tmp_path):
     ipath, spath = tmp_path / "inputs.csv", tmp_path / "states.csv"
     dataio.write_inputs_csv(ipath, inputs)
     dataio.write_states_csv(spath, sm)
-    trace = dataio.ingest_bundle(dataio.TraceBundle(str(ipath), [str(spath)]))
-    assert np.array_equal(trace.inputs, inputs)
-    assert np.array_equal(trace.states[0].data, sm.data)
-    ingested = analyze_states(trace.states[0].data[washout:], trace.inputs,
+    trace_inputs, trace_states = dataio.read_trace(str(ipath), [str(spath)])
+    assert np.array_equal(trace_inputs, inputs)
+    assert np.array_equal(trace_states[0].data, sm.data)
+    ingested = analyze_states(trace_states[0].data[washout:], trace_inputs,
                               washout, settings)
     same = dataio.profile_to_dict(direct) == dataio.profile_to_dict(ingested)
     report("ingest bit-level equality", same and direct.rank >= 1,

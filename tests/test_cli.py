@@ -39,6 +39,10 @@ class TestConfig:
             cfgmod.from_dict({"reservoir": {"noise_rate": 1.5}})
         with pytest.raises(cfgmod.ConfigError):
             cfgmod.from_dict({"input": {"kind": "uniform", "low": 1.0, "high": 0.0}})
+        # out-of-range masks used to alias onto their low ten bits
+        for masks in ([1025, -1], [1024], [-1], [1.0], [True], "some", 5):
+            with pytest.raises(cfgmod.ConfigError, match="reservoir.masks"):
+                cfgmod.from_dict({"reservoir": {"masks": masks}})
 
     def test_preset_paper_split(self):
         cfg = cfgmod.assemble(None, preset_name="paper")
@@ -91,7 +95,6 @@ class TestCsvExchange:
         dataio.write_states_csv(path, data)
         back = dataio.read_states_csv(path)
         assert np.array_equal(back.data, data)
-        assert back.provenance == "ingested"
 
     def test_nan_row_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "states.csv"
@@ -116,9 +119,8 @@ class TestCsvExchange:
         sp = tmp_path / "states.csv"
         dataio.write_inputs_csv(ip, rng.uniform(size=10))
         dataio.write_states_csv(sp, rng.normal(size=(9, 2)))
-        bundle = dataio.TraceBundle(str(ip), [str(sp)])
         with pytest.raises(dataio.IngestError, match="state rows"):
-            dataio.ingest_bundle(bundle)
+            dataio.read_trace(str(ip), [str(sp)])
 
 
 def _write_cfg(tmp_path, payload):
@@ -250,8 +252,28 @@ class TestCommands:
         per_qubit = (out / "profile_inst0000_per_qubit.csv").read_text().splitlines()
         assert per_qubit[0] == "qubit,rank,c_tiv_tot,c_tv_tot,c_tot"
         assert len(per_qubit) == 5
+        for q, line in enumerate(per_qubit[1:]):
+            fields = line.split(",")
+            assert len(fields) == 5
+            assert fields[0] == str(q)
+            assert fields[1] == str(int(fields[1]))
         degrees = (out / "profile_inst0000_degrees.csv").read_text().splitlines()
         assert degrees[0] == "degree,tiv_total,tv_total"
+        summary = (out / "tipc_summary.csv").read_text().splitlines()
+        assert summary[0] == "name,mask,rank,c_tiv_tot,c_tv_tot,c_tot"
+        assert summary[1].startswith(f"inst0000,,{prof['rank']},")
+
+    def test_tipc_summary_names_masks(self, tmp_path):
+        cfg = _write_cfg(tmp_path, {
+            "reservoir": {"instances": 1, "masks": [3]},
+            "tipc": {"washout": 30, "analysis_len": 200, "max_degree": 1,
+                     "max_input_delay": 3, "max_state_delay": 0},
+        })
+        out = tmp_path / "out"
+        assert main(["tipc", "--config", cfg, "--out", str(out)]) == 0
+        summary = (out / "tipc_summary.csv").read_text().splitlines()
+        assert len(summary) == 2
+        assert summary[1].split(",")[:2] == ["m0003", "3"]
 
     def test_tipc_on_ingested_trace_with_metadata(self, tmp_path, rng):
         u = rng.uniform(0, 1, size=260)
@@ -272,6 +294,9 @@ class TestCommands:
         hw = (out / "hardware_capacity.csv").read_text().splitlines()
         assert hw[0] == "name,cnot_error,device,c_tiv_tot,c_tv_tot,rank"
         assert hw[1].startswith("trace0,0.02,loopback,")
+        tiv, tv, rank = hw[1].split(",")[3:]
+        assert (float(tiv), float(tv), int(rank)) == (
+            prof["c_tiv_tot"], prof["c_tv_tot"], prof["rank"])
 
     def test_ipc_narma2(self, tmp_path):
         cfg = _write_cfg(tmp_path, {
