@@ -176,8 +176,8 @@ class CompiledNoise:
 
     ``perturb_circuit`` rewrites the ideal gate list (coherent noise), and
     ``decoherence`` lists the (kind, kraus set, targets) channels applied
-    after the circuit, in spec order.  ``plan`` is the flattened per-step
-    description; ``sampled_epsilons`` holds the frozen per-qubit strengths.
+    after the circuit, in spec order; ``sampled_epsilons`` holds the frozen
+    per-qubit strengths.
     """
 
     n_qubits: int
@@ -196,13 +196,6 @@ class CompiledNoise:
             out = perturb_cnot_bias(out, self.sampled_epsilons[CNOT_BIAS])
         out.extend(self.entanglers)
         return out
-
-    @property
-    def plan(self) -> list:
-        steps = [("circuit", tuple(range(self.n_qubits)))]
-        steps.extend(("entangler", (g.control, g.target)) for g in self.entanglers)
-        steps.extend((kind, targets) for kind, _, targets in self.decoherence)
-        return steps
 
     @property
     def has_cross_pair_gates(self) -> bool:

@@ -14,6 +14,13 @@ labels count back from u_t, i.e. "u[t-d]" with d = s - 1.  States are
 column-centered before the SVD and every basis is orthogonalized against
 the constant, which is what makes the chi-squared error model for the
 capacities of uninformative terms apply.
+
+Solver.  ``orthonormalize`` runs one LAPACK Householder QR and falls back
+to modified Gram-Schmidt when a pivot lies under twice the drop floor, so
+keep/drop decisions are Gram-Schmidt's; ``capacities`` applies Q^T from the
+factor without forming Q.  ``scipy.linalg`` is imported inside the solver:
+every ``qnr`` command imports this module, most never reach the solver, and
+the import adds ~6 MiB to a process.
 """
 
 from __future__ import annotations
@@ -220,34 +227,100 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
 
 @dataclass
 class Orthonormalized:
-    """Result of the sequential orthonormalization of the basis matrix."""
+    """Result of the sequential orthonormalization of the basis matrix.
 
-    Q: np.ndarray            # T' x n_kept, orthonormal (constant excluded)
+    ``kept`` and ``dropped`` index the basis columns.  The kept vectors
+    (constant excluded) are an explicit Q from the Gram-Schmidt fallback, or
+    else the Householder factor (F, tau, leading constant columns); then
+    ``Q`` is built on first access, with Gram-Schmidt's column signs.
+    """
+
     kept: List[int]
     dropped: List[int]
+    _Q: Optional[np.ndarray] = field(default=None, repr=False)
+    _householder: Optional[Tuple[np.ndarray, np.ndarray, int]] = field(default=None,
+                                                                       repr=False)
+
+    @property
+    def n_rows(self) -> int:
+        return (self._Q if self._Q is not None else self._householder[0]).shape[0]
+
+    @property
+    def Q(self) -> np.ndarray:
+        """T' x n_kept, orthonormal columns (constant excluded)."""
+        if self._Q is None:
+            from scipy.linalg import lapack
+            F, tau, first = self._householder
+            q, _, _ = lapack.dorgqr(F, tau)
+            self._Q = q[:, first:] * np.copysign(1.0, np.diagonal(F)[first:])
+        return self._Q
+
+    def project(self, P: np.ndarray) -> np.ndarray:
+        """Q^T P: coefficients of P's columns on the kept vectors (n_kept x r)."""
+        if self._householder is None:
+            return self._Q.T @ P
+        from scipy.linalg import lapack
+        F, tau, first = self._householder
+        lwork = int(lapack.dormqr("L", "T", F, tau, P, -1)[1][0])
+        QtP, _, _ = lapack.dormqr("L", "T", F, tau, P, lwork)
+        return QtP[first:F.shape[1]]
 
 
 def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
                    drop_tol: float = 1e-8, block: int = 64) -> Orthonormalized:
-    """Modified Gram-Schmidt over the columns, one re-orthogonalization pass.
+    """Sequential orthonormalization of the columns, by Householder QR.
 
-    Columns whose post-projection norm falls below drop_tol * sqrt(T) are
-    recorded as linearly dependent and dropped.  Columns are processed in
-    blocks so the projections run as matrix products, which changes nothing
-    about the result beyond float rounding.  The constant column, when
-    prepended, centers every retained basis but is not reported.
+    A column is dropped as linearly dependent when its component orthogonal
+    to the constant (when prepended) and to every earlier kept column has
+    norm below drop_tol * sqrt(T); once T vectors are kept (the constant
+    included) they span R^T and every later column is dropped.  The
+    constant centers every retained basis but is not reported.
 
-    Once T vectors are kept (the constant included) they span R^T, and every
-    later column is dropped unprojected.  That changes no decision at sane
-    scales: such a column's residual is roundoff, ~1e-16 of its norm, which
-    stays under the floor unless the norm nears 1e8 * sqrt(T).  Above that
-    the stop keeps roundoff from passing as more than T orthonormal
-    vectors.  Q is column-major, so its leading columns are contiguous for
-    the block projections.
+    Real bases drop nothing before they saturate R^T, so one LAPACK QR of
+    the constant and the leading min(B, T - 1) columns decides: when every
+    |R_jj| (constant excluded) is at least twice the floor, those columns
+    are kept and the rest dropped, which is what Gram-Schmidt decides too,
+    because the two pivots agree to rounding far inside that factor.
+    Otherwise the basis goes through modified Gram-Schmidt (``block``
+    columns per matrix product, one re-orthogonalization pass), which
+    applies the drop rule column by column.
     """
     A = np.asarray(basis, dtype=float)
     T, B = A.shape
+    if T == 0:
+        raise ValueError(f"basis has no rows (shape {A.shape})")
     floor = drop_tol * np.sqrt(T)
+    first = int(prepend_constant)
+    m = min(B, T - first)
+    if m == 0:
+        return _gram_schmidt(A, prepend_constant, floor, block)
+    from scipy.linalg import lapack
+    F = np.empty((T, first + m), order="F")
+    F[:, :first] = 1.0 / np.sqrt(T)
+    F[:, first:] = A[:, :m]
+    # the lwork=-1 query of dgeqrf would copy the whole matrix
+    lwork = int(lapack.dgeqrf_lwork(T, first + m)[0])
+    F, tau, _, _ = lapack.dgeqrf(F, lwork=lwork, overwrite_a=1)
+    if np.abs(np.diagonal(F)[first:]).min() < 2.0 * floor:
+        return _gram_schmidt(A, prepend_constant, floor, block)
+    return Orthonormalized(kept=list(range(m)), dropped=list(range(m, B)),
+                           _householder=(F, tau, first))
+
+
+def _gram_schmidt(A: np.ndarray, prepend_constant: bool, floor: float,
+                  block: int) -> Orthonormalized:
+    """Blocked modified Gram-Schmidt with the drop rule of ``orthonormalize``.
+
+    Columns are processed in blocks so the projections run as matrix
+    products, which changes nothing about the result beyond float rounding.
+    Stopping at T kept vectors changes no decision at sane scales: a later
+    column's residual is roundoff, ~1e-16 of its norm, which stays under
+    the floor unless the norm nears 1e8 * sqrt(T).  Above that the stop
+    keeps roundoff from passing as more than T orthonormal vectors.  Q is
+    column-major, so its leading columns are contiguous for the block
+    projections.
+    """
+    T, B = A.shape
     Q = np.empty((T, min(B + 1, T)), order="F")
     k = 0
     if prepend_constant:
@@ -281,7 +354,7 @@ def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
             Q[:, k] = v / nv
             kept.append(j0 + c)
             k += 1
-    return Orthonormalized(Q=Q[:, first:k], kept=kept, dropped=dropped)
+    return Orthonormalized(kept=kept, dropped=dropped, _Q=Q[:, first:k])
 
 
 @dataclass
@@ -300,12 +373,12 @@ class CapacityRecord:
 def capacities(P: np.ndarray, ortho: Orthonormalized,
                terms: Sequence[BasisTerm]) -> List[CapacityRecord]:
     """C_i = ||P^T xi_i||^2 for each retained term; dropped terms get 0."""
-    if ortho.Q.shape[0] != P.shape[0]:
+    if ortho.n_rows != P.shape[0]:
         raise ValueError("basis rows and state rows are misaligned")
     caps = np.zeros(len(terms))
     if ortho.kept:
-        G = P.T @ ortho.Q            # r x n_kept
-        caps[ortho.kept] = np.sum(G * G, axis=0)
+        G = ortho.project(P)         # n_kept x r
+        caps[ortho.kept] = np.sum(G * G, axis=1)
     return [CapacityRecord(term=t, capacity=float(c)) for t, c in zip(terms, caps)]
 
 

@@ -223,7 +223,9 @@ class TestCompileNoise:
         b = compile_noise(specs, 4, seed=99)
         for kind in a.sampled_epsilons:
             assert np.array_equal(a.sampled_epsilons[kind], b.sampled_epsilons[kind])
-        assert a.plan == b.plan
+        assert [(k, t) for k, _, t in a.decoherence] == \
+            [(k, t) for k, _, t in b.decoherence]
+        assert a.entanglers == b.entanglers and a.entanglers
 
     def test_duplicate_kind_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -231,7 +233,7 @@ class TestCompileNoise:
 
     def test_empty_specs_is_ideal(self):
         compiled = compile_noise([], 4, 0)
-        assert compiled.plan == [("circuit", (0, 1, 2, 3))]
+        assert compiled.decoherence == [] and compiled.entanglers == []
         assert not compiled.has_cross_pair_gates
         gates = build_input_unitary(4, np.pi, 0.3)
         assert compiled.perturb_circuit(gates) == gates

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +333,94 @@ class TestOrthonormalize:
         b = 3.0 * a + 0.7 + factor * drop_tol * np.sqrt(T) * W[:, 2]
         res = orthonormalize(np.column_stack([a, b]), drop_tol=drop_tol)
         assert res.kept == kept
+
+    def test_zero_row_basis_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\(0, 3\)"):
+                orthonormalize(np.empty((0, 3)))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Shapes of the bases that went through the Gram-Schmidt fallback."""
+    seen = []
+    real = tipc._gram_schmidt
+
+    def spy(A, *args):
+        seen.append(A.shape)
+        return real(A, *args)
+
+    monkeypatch.setattr(tipc, "_gram_schmidt", spy)
+    return seen
+
+
+def reference_capacities(P, B):
+    Q, kept, dropped = reference_mgs(B)
+    caps = np.zeros(B.shape[1])
+    caps[kept] = np.sum((P.T @ Q) ** 2, axis=0)
+    return caps, kept, dropped
+
+
+class TestHouseholderSolver:
+    @pytest.mark.parametrize("n_rows,n_kept", [(2000, 164), (170, 164), (150, 149)],
+                             ids=["tall", "near-square", "wide"])
+    def test_capacities_match_reference(self, rng, fallbacks, n_rows, n_kept):
+        u = rng.uniform(-1, 1, size=n_rows + 100)
+        B = evaluate_bases(enumerate_bases(3, 8, 0, 0, "legendre"), u, 100,
+                           n_rows=n_rows)
+        x = np.column_stack([u[100:] ** 2 + 0.5 * u[99:-1] * u[98:-2],
+                             np.sin(3.0 * u[99:-1])])
+        P = normalize_states(x + 0.01 * rng.normal(size=x.shape)).P
+        caps, kept, dropped = reference_capacities(P, B)
+        res = orthonormalize(B)
+        assert fallbacks == []
+        assert res.kept == kept == list(range(n_kept))
+        assert res.dropped == dropped
+        mine = [r.capacity for r in capacities(P, res, [BasisTerm()] * B.shape[1])]
+        assert np.abs(np.array(mine) - caps).max() <= 1e-12
+
+    def test_duplicate_early_column_falls_back(self, rng, fallbacks):
+        u, x, off = _echo_states(rng, 60)
+        ns = normalize_states(x)
+        terms = enumerate_bases(3, 6, 2, ns.rank, "legendre")
+        B = evaluate_bases(terms, u, off, xhat=ns.P, start_row=2)
+        B = np.insert(B, 5, B[:, 2], axis=1)
+        P = normalize_states(ns.P[2:], 1e-10, abs_floor=1e-12).P
+        Q, kept, dropped = reference_mgs(B)
+        caps, _, _ = reference_capacities(P, B)
+        res = orthonormalize(B)
+        assert fallbacks == [B.shape]
+        assert 5 in dropped and len(kept) == B.shape[0] - 1
+        assert res.kept == kept and res.dropped == dropped
+        assert np.abs(res.Q - Q).max() <= 1e-12
+        mine = [r.capacity for r in capacities(P, res, [BasisTerm()] * B.shape[1])]
+        assert np.abs(np.array(mine) - caps).max() <= 1e-12
+
+    @pytest.mark.parametrize("factor,fallback,kept",
+                             [(0.5, True, [0]), (1.5, True, [0, 1]),
+                              (3.0, False, [0, 1])])
+    def test_pivot_under_twice_the_floor_falls_back(self, rng, fallbacks, factor,
+                                                    fallback, kept):
+        # the second column's pivot is factor * drop_tol * sqrt(T)
+        T, drop_tol = 100, 1e-8
+        a = rng.normal(size=T)
+        W, _ = np.linalg.qr(np.column_stack([np.ones(T), a, rng.normal(size=T)]))
+        b = 3.0 * a + 0.7 + factor * drop_tol * np.sqrt(T) * W[:, 2]
+        res = orthonormalize(np.column_stack([a, b]), drop_tol=drop_tol)
+        assert res.kept == kept
+        assert bool(fallbacks) == fallback
+
+    def test_import_leaves_scipy_linalg_out(self):
+        # the solver imports scipy.linalg on first use; every qnr command
+        # imports tipc, and most of them never reach the solver
+        src = os.path.dirname(os.path.dirname(tipc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qnr, qnr.cli; print('scipy.linalg' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 class TestCapacities:
     def test_exact_reconstruction_scores_one(self, rng):
