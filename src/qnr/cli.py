@@ -60,20 +60,13 @@ def _target_sequence(cfg, inputs: np.ndarray) -> np.ndarray:
     return y[:len(inputs)]
 
 
-def _simulate_one(args):
-    index, qnr_cfg, inputs = args
-    return index, run_qnr(qnr_cfg, inputs).data
-
-
 def _run_instances(cfg, instances, inputs: np.ndarray):
     """Run every instance, optionally on a process pool; order-stable."""
-    jobs = [(i, qc, inputs) for i, _, qc in instances]
+    configs = [qc for _, _, qc in instances]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = dict(pool.map(_simulate_one, jobs))
-    else:
-        results = dict(map(_simulate_one, jobs))
-    return [StateMatrix(results[i]) for i, _, _ in instances]
+            return list(pool.map(run_qnr, configs, [inputs] * len(configs)))
+    return [run_qnr(qc, inputs) for qc in configs]
 
 
 def _tipc_settings(cfg) -> TipcSettings:
@@ -221,11 +214,10 @@ def cmd_tipc(cfg) -> int:
     else:
         w, span = cfg.tipc.washout, cfg.tipc.analysis_len
         inputs = _draw_inputs(cfg, w + span)
-        runs = []
-        for i, mask, qc in cfg.qnr_instances():
-            sm = run_qnr(qc, inputs)
-            name = f"inst{i:04d}" if mask is None else f"m{mask:04d}"
-            runs.append((name, mask, StateMatrix(sm.data[w:]), inputs, w))
+        instances = cfg.qnr_instances()
+        runs = [(f"inst{i:04d}" if mask is None else f"m{mask:04d}", mask,
+                 StateMatrix(sm.data[w:]), inputs, w)
+                for (i, mask, _), sm in zip(instances, _run_instances(cfg, instances, inputs))]
     summary = []
     for name, mask, sm, inputs_used, offset in runs:
         prof = _analyze_matrix(cfg, sm, inputs_used, offset, settings)

@@ -7,12 +7,15 @@ after consuming input u_t.  The rest of the module covers spatial
 multiplexing, the NARMA2 benchmark target, least-squares readout training,
 NRMSE scoring, and the echo-state-property probe.
 
-One kernel implements the reservoir map.  Each step conjugates a block of
-qubit pairs by the kron of their pair unitaries (then the entangler gates, if
-any) and applies each pair's decoherence superoperator.  With no entangler
-gates and no caller-supplied initial state the register factorizes exactly
-and each pair is its own block; otherwise one block holds all qubits.  The
-test suite cross-checks the kernel against gate-by-gate evolution.
+One kernel implements the reservoir map, once per ``run_qnr``, on a stack of
+independent blocks.  Each step conjugates every block of qubit pairs by the
+kron of its pair unitaries (then the entangler gates, if any) and applies each
+pair's decoherence superoperator.  With no entangler gates and no
+caller-supplied initial state the register factorizes exactly and each pair
+is its own block; otherwise each initial state is one block of all qubits.
+The ESP probe stacks its k initial states, so it holds k register states at
+once: 64 KiB each at 6 qubits, 256 MiB each at the 12-qubit cap.  The test
+suite cross-checks the kernel against gate-by-gate evolution.
 """
 
 from __future__ import annotations
@@ -83,10 +86,10 @@ class StateMatrix:
 # QNR simulation
 # ---------------------------------------------------------------------------
 
-def _pair_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two stacks of 2x2 matrices: (..., 4, 4)."""
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two stacks of square matrices: (..., de, de)."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (4, 4))
+    return out.reshape(out.shape[:-4] + (a.shape[-1] * b.shape[-1],) * 2)
 
 
 def _step_unitaries(config: QnrConfig, compiled, inputs: np.ndarray) -> np.ndarray:
@@ -103,16 +106,16 @@ def _step_unitaries(config: QnrConfig, compiled, inputs: np.ndarray) -> np.ndarr
     theta = config.input_scaling * inputs[:, None]
     cx = (qsim.crx_block(np.pi * (1.0 + eps[CNOT_BIAS][1::2])) if CNOT_BIAS in eps
           else qsim.CNOT_MATRIX)
-    B = _pair_kron(qsim.rx_matrix(theta * sx[0::2]), qsim.rx_matrix(theta * sx[1::2]))
+    B = _kron(qsim.rx_matrix(theta * sx[0::2]), qsim.rx_matrix(theta * sx[1::2]))
     B = cx @ B
-    B = _pair_kron(qsim.I2, qsim.rz_matrix(theta * sz[1::2])) @ B
+    B = _kron(qsim.I2, qsim.rz_matrix(theta * sz[1::2])) @ B
     return cx @ B
 
 
-def _pair_superop(compiled, pair: int) -> Optional[np.ndarray]:
+def _pair_superop(compiled, pair: int) -> np.ndarray:
     """16x16 superoperator of the decoherence channels on one pair, composed
-    in spec order, acting on the row-major vectorized 4x4 pair state; None
-    when no channel touches the pair."""
+    in spec order, acting on the row-major vectorized 4x4 pair state; the
+    identity when no channel touches the pair."""
     L = None
     for _, kraus, targets in compiled.decoherence:
         for q in (2 * pair, 2 * pair + 1):
@@ -121,32 +124,34 @@ def _pair_superop(compiled, pair: int) -> Optional[np.ndarray]:
                            for K in kraus]
                 Lq = sum(np.kron(K, K.conj()) for K in on_pair)
                 L = Lq if L is None else Lq @ L
-    return L
+    return np.eye(16, dtype=complex) if L is None else L
 
 
-def _evolve(steps: np.ndarray, superops: list, entangler: Optional[np.ndarray],
+def _evolve(steps: np.ndarray, superops: np.ndarray, entangler: Optional[np.ndarray],
             rho: np.ndarray) -> np.ndarray:
-    """Z expectations, one row per step, of a block of m pairs in state rho.
+    """Z expectations (T, b, 2m) of the b blocks of m pairs in ``rho`` (b, 4**m, 4**m).
 
-    Each step conjugates rho by the kron of the block's pair unitaries
-    ``steps[t]`` (m, 4, 4), followed by ``entangler`` unless it is None, then
-    contracts each pair's 16x16 superoperator (None: no decoherence) into
-    that pair's (ket, bra) axes.
+    Each step conjugates every block by the kron of its pair unitaries
+    ``steps[t]`` (b or 1, m, 4, 4), then by ``entangler`` unless it is None,
+    and multiplies each pair's (ket, bra) axes by its 16x16 superoperator in
+    ``superops`` (b or 1, m, 16, 16); a leading 1 shares them across blocks.
     """
-    m = steps.shape[1]
+    b, m = len(rho), steps.shape[2]
     signs = qsim.z_sign_matrix(2 * m)
-    deco = [(p, L.reshape(4, 4, 4, 4)) for p, L in enumerate(superops) if L is not None]
-    out = np.empty((len(steps), 2 * m))
+    out = np.empty((len(steps), b, 2 * m))
     for t, pair_unitaries in enumerate(steps):
-        U = functools.reduce(np.kron, pair_unitaries)
+        U = functools.reduce(_kron, pair_unitaries.swapaxes(0, 1))
         if entangler is not None:
             U = entangler @ U
-        rho = U @ rho @ U.conj().T
-        tens = rho.reshape((4,) * (2 * m))
-        for p, L in deco:
-            tens = qsim.contract_axes(L, tens, (p, m + p))
+        rho = U @ rho @ U.conj().swapaxes(-1, -2)
+        tens = rho.reshape((b,) + (4,) * (2 * m))
+        for p in range(m):
+            moved = np.moveaxis(tens, (1 + p, 1 + m + p), (1, 2))
+            tens = (superops[:, p] @ moved.reshape(b, 16, -1)).reshape(moved.shape)
+            tens = np.moveaxis(tens, (1, 2), (1 + p, 1 + m + p))
         rho = tens.reshape(rho.shape)
-        out[t] = signs @ np.real(np.diagonal(rho))
+        # a matrix-vector product per block: gemm here would move the last bit
+        out[t] = (signs @ np.real(np.diagonal(rho, axis1=-2, axis2=-1))[..., None])[..., 0]
     return out
 
 
@@ -156,26 +161,31 @@ def run_qnr(config: QnrConfig, inputs: Sequence[float],
 
     Row t of the result holds the Z expectation of every qubit after the
     perturbed circuit for u_t and the decoherence channels have acted.  The
-    run is a pure function of (config, inputs, initial state).
+    run is a pure function of (config, inputs, initial state).  ``initial``
+    is one (2**n, 2**n) state or a stack (k, 2**n, 2**n); for a stack, the
+    result has k n columns and column block i is the run from ``initial[i]``.
     """
     inputs = np.asarray(inputs, dtype=float)
     if not np.isfinite(inputs).all():
         raise ValueError("inputs must be finite")
-    n = config.n_qubits
+    n, dim = config.n_qubits, 2**config.n_qubits
+    if initial is not None and (np.ndim(initial) > 3 or np.shape(initial)[-2:] != (dim, dim)):
+        raise ValueError(f"initial state has shape {np.shape(initial)}; expected "
+                         f"({dim}, {dim}) or (k, {dim}, {dim}) for {n} qubits")
     compiled = compile_noise(config.noise, n, config.seed)
     steps = _step_unitaries(config, compiled, inputs)
-    superops = [_pair_superop(compiled, p) for p in range(n // 2)]
+    superops = np.array([_pair_superop(compiled, p) for p in range(n // 2)])
     if compiled.entanglers or initial is not None:
         # entanglers couple qubits, and a caller-supplied state need not
-        # factorize: evolve the whole register as one block
+        # factorize: evolve the whole register as one block per state
         ent = qsim.compile_unitary(compiled.entanglers, n) if compiled.entanglers else None
-        rho = qsim.prepare_plus_state(n) if initial is None else initial
-        data = _evolve(steps, superops, ent, rho)
+        rho = np.reshape(qsim.prepare_plus_state(n) if initial is None else initial,
+                         (-1, dim, dim))
+        data = _evolve(steps[:, None], superops[None], ent, rho)
     else:
-        plus = qsim.prepare_plus_state(2)
-        data = np.hstack([_evolve(steps[:, p:p + 1], superops[p:p + 1], None, plus)
-                          for p in range(n // 2)])
-    return StateMatrix(data)
+        plus = np.broadcast_to(qsim.prepare_plus_state(2), (n // 2, 4, 4))
+        data = _evolve(steps[:, :, None], superops[:, None], None, plus)
+    return StateMatrix(data.reshape(len(inputs), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +337,7 @@ def esp_probe(config: QnrConfig, inputs: Sequence[float], n_trials: int,
               floor: float = 1e-13) -> EspProbe:
     """Drive n_trials copies of the reservoir from random initial states.
 
+    All trials run as one stack of initial states in one ``run_qnr`` call.
     Returns the averaged state difference against the first trajectory,
     delta_t = mean_m ||x_t^(m) - x_t^(1)||_2, plus the fitted log-decay
     slope per step.  The fit stops where the curve hits the numerical floor.
@@ -335,21 +346,18 @@ def esp_probe(config: QnrConfig, inputs: Sequence[float], n_trials: int,
         raise ValueError("esp_probe needs at least 2 trials")
     inputs = np.asarray(inputs, dtype=float)
     if initial_states is None:
-        initial_states = [
-            qsim.haar_product_state(config.n_qubits, stream(config.seed, "esp", "init", m))
-            for m in range(n_trials)
-        ]
+        initial_states = [qsim.haar_product_state(config.n_qubits,
+                                                  stream(config.seed, "esp", "init", m))
+                          for m in range(n_trials)]
     if len(initial_states) != n_trials:
         raise ValueError("need one initial state per trial")
-    trajs = []
-    for rho0 in initial_states:
-        sm = run_qnr(config, inputs, initial=rho0)
-        x0 = qsim.expect_all_z(rho0)
-        trajs.append(np.vstack([x0, sm.data]))
-    base = trajs[0]
-    deltas = np.mean(
-        [np.linalg.norm(tr - base, axis=1) for tr in trajs[1:]], axis=0
-    )
+    rho0 = np.array(initial_states)
+    data = run_qnr(config, inputs, initial=rho0).data
+    # trial m's trajectory from x_0 on; C order, so the mean adds trials in turn
+    trajs = np.empty((n_trials, len(inputs) + 1, config.n_qubits))
+    trajs[:, 0] = [qsim.expect_all_z(r) for r in rho0]
+    trajs[:, 1:] = data.reshape(len(inputs), n_trials, -1).swapaxes(0, 1)
+    deltas = np.mean(np.linalg.norm(trajs[1:] - trajs[0], axis=2), axis=0)
     good = deltas > floor
     # fit on the initial contiguous pre-floor segment
     stop = int(np.argmin(good)) if not good.all() else len(deltas)

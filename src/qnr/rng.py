@@ -15,7 +15,7 @@ path                               purpose
 ("instance", i)                    noise compilation for reservoir instance i
 ("esn", k)                         weight draw for ESN configuration k
 ("esp", "init", m)                 m-th random initial state of the ESP probe
-("surrogate", k)                   k-th shuffle permutation
+("surrogate",)                     all shuffle permutations of one analysis
 =================================  ============================================
 """
 

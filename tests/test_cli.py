@@ -1,11 +1,13 @@
 """Config schema, CSV exchange, and CLI subcommand tests."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 import yaml
 
+from qnr import cli
 from qnr import config as cfgmod
 from qnr import dataio
 from qnr.cli import main
@@ -274,6 +276,31 @@ class TestCommands:
         summary = (out / "tipc_summary.csv").read_text().splitlines()
         assert len(summary) == 2
         assert summary[1].split(",")[:2] == ["m0003", "3"]
+
+    def test_tipc_with_threads_matches_serial(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = _write_cfg(tmp_path, {
+            "reservoir": {"instances": 2, "masks": [1, 129]},
+            "tipc": {"washout": 30, "analysis_len": 200, "max_degree": 1,
+                     "max_input_delay": 3, "max_state_delay": 0},
+        })
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["tipc", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+        assert main(["tipc", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+        assert pools == [2]
+        # manifest.json names the output directory and the thread count
+        names = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
+        assert len(names) == 7
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_tipc_on_ingested_trace_with_metadata(self, tmp_path, rng):
         u = rng.uniform(0, 1, size=260)

@@ -10,9 +10,22 @@ from qnr.noise import (AMPLITUDE_DAMPING, BIT_FLIP, CNOT_BIAS, DEPOLARIZING,
                        OVER_ROTATION_RZ, PHASE_DAMPING, NoiseSpec, compile_noise)
 from qnr.qsim import (apply_kraus, apply_unitary, build_input_unitary,
                       expect_all_z, haar_product_state, prepare_plus_state)
+from qnr import reservoir
 from qnr.reservoir import (EsnConfig, QnrConfig, StateMatrix, benchmark_masks,
                            esn_weights, esp_probe, fit_readout, narma2, nrmse,
                            run_esn, run_qnr, spatial_multiplex)
+
+
+def spy(monkeypatch, module, name) -> list:
+    """Count the calls of ``module.name``; returns the list the calls land in."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def reference_qnr(config: QnrConfig, inputs, initial=None) -> np.ndarray:
@@ -90,6 +103,33 @@ class TestRunQnr:
     def test_odd_qubits_rejected(self):
         with pytest.raises(ValueError):
             QnrConfig(n_qubits=3)
+
+    @pytest.mark.parametrize("n_qubits, specs", [
+        pytest.param(4, [NoiseSpec(ENTANGLER_ONE_HOP, 0.1)], id="n4-one-hop"),
+        pytest.param(2, [NoiseSpec(AMPLITUDE_DAMPING, 0.1)], id="n2-damping"),
+    ])
+    def test_stacked_initial_states_match_single_runs(self, n_qubits, specs, rng):
+        cfg = QnrConfig(n_qubits=n_qubits, noise=specs, seed=13)
+        inputs = rng.uniform(0, 1, size=30)
+        states = [haar_product_state(n_qubits, rng) for _ in range(3)]
+        single = np.hstack([run_qnr(cfg, inputs, initial=s).data for s in states])
+        stacked = run_qnr(cfg, inputs, initial=np.array(states)).data
+        assert stacked.shape == (30, 3 * n_qubits)
+        assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("specs", [
+        pytest.param([NoiseSpec(AMPLITUDE_DAMPING, 0.1)], id="pair-blocks"),
+        pytest.param([NoiseSpec(ENTANGLER_TWO_HOP, 0.1)], id="register"),
+    ])
+    def test_one_kernel_call_per_run(self, specs, monkeypatch, rng):
+        calls = spy(monkeypatch, reservoir, "_evolve")
+        run_qnr(QnrConfig(n_qubits=6, noise=specs, seed=2), rng.uniform(0, 1, size=10))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 8), (2, 16, 8), (1, 1, 16, 16), (16,)])
+    def test_wrongly_shaped_initial_state_names_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(.*expected \(16, 16\) or \(k, 16, 16\)"):
+            run_qnr(QnrConfig(n_qubits=4), [0.1, 0.2], initial=np.zeros(shape))
 
 
 class TestRunEsn:
@@ -264,6 +304,13 @@ class TestEspProbe:
         probe = esp_probe(cfg, rng.uniform(0, 1, 90), 6)
         assert probe.slope == pytest.approx(np.log(1 - gamma), rel=0.1)
         assert probe.deltas[-1] < probe.deltas[0] * 1e-4
+
+    def test_trials_share_one_run(self, monkeypatch, rng):
+        runs = spy(monkeypatch, reservoir, "run_qnr")
+        compiles = spy(monkeypatch, reservoir, "compile_noise")
+        cfg = QnrConfig(noise=[NoiseSpec(AMPLITUDE_DAMPING, 0.1)], seed=5)
+        esp_probe(cfg, rng.uniform(0, 1, 20), 4)
+        assert len(runs) == 1 and len(compiles) == 1
 
     def test_requires_two_trials(self, rng):
         cfg = QnrConfig(noise=[NoiseSpec(AMPLITUDE_DAMPING, 0.1)])
