@@ -180,8 +180,6 @@ class CompiledNoise:
     per-qubit strengths.
     """
 
-    n_qubits: int
-    specs: Tuple[NoiseSpec, ...]
     sampled_epsilons: dict = field(default_factory=dict)
     decoherence: list = field(default_factory=list)
     entanglers: List[GateSpec] = field(default_factory=list)
@@ -210,7 +208,7 @@ def compile_noise(specs: Sequence[NoiseSpec], n_qubits: int, seed: int) -> Compi
         dup = sorted({k for k in kinds if kinds.count(k) > 1})
         raise ValueError(f"duplicate noise kinds: {dup}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    compiled = CompiledNoise(n_qubits=n_qubits, specs=tuple(specs))
+    compiled = CompiledNoise()
     for spec in specs:
         if spec.kind in DECOHERENCE_KINDS:
             kraus = KRAUS_FACTORIES[spec.kind](spec.rate)

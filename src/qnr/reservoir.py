@@ -10,12 +10,10 @@ NRMSE scoring, and the echo-state-property probe.
 One kernel implements the reservoir map, once per ``run_qnr``, on a stack of
 independent blocks.  Each step conjugates every block of qubit pairs by the
 kron of its pair unitaries (then the entangler gates, if any) and applies each
-pair's decoherence superoperator.  With no entangler gates and no
-caller-supplied initial state the register factorizes exactly and each pair
-is its own block; otherwise each initial state is one block of all qubits.
-The ESP probe stacks its k initial states, so it holds k register states at
-once: 64 KiB each at 6 qubits, 256 MiB each at the 12-qubit cap.  The test
-suite cross-checks the kernel against gate-by-gate evolution.
+pair's decoherence superoperator.  Runs start from products of pair states:
+without entanglers each pair of each initial state is a 4 x 4 block, and
+entanglers make each initial state one register block, the kron of its pairs.
+The test suite checks the kernel against gate-by-gate evolution.
 """
 
 from __future__ import annotations
@@ -162,29 +160,34 @@ def run_qnr(config: QnrConfig, inputs: Sequence[float],
     Row t of the result holds the Z expectation of every qubit after the
     perturbed circuit for u_t and the decoherence channels have acted.  The
     run is a pure function of (config, inputs, initial state).  ``initial``
-    is one (2**n, 2**n) state or a stack (k, 2**n, 2**n); for a stack, the
-    result has k n columns and column block i is the run from ``initial[i]``.
+    holds the states of the pairs (2p, 2p+1) the register starts in: one
+    (n/2, 4, 4) state, by default |+> on every qubit, or a stack (k, n/2, 4, 4),
+    whose result has k n columns, column block i the run from ``initial[i]``.
     """
     inputs = np.asarray(inputs, dtype=float)
     if not np.isfinite(inputs).all():
         raise ValueError("inputs must be finite")
-    n, dim = config.n_qubits, 2**config.n_qubits
-    if initial is not None and (np.ndim(initial) > 3 or np.shape(initial)[-2:] != (dim, dim)):
+    n, m = config.n_qubits, config.n_qubits // 2
+    pairs = (np.broadcast_to(qsim.prepare_plus_state(2), (m, 4, 4)) if initial is None
+             else np.asarray(initial))
+    if pairs.ndim > 4 or pairs.shape[-3:] != (m, 4, 4):
         raise ValueError(f"initial state has shape {np.shape(initial)}; expected "
-                         f"({dim}, {dim}) or (k, {dim}, {dim}) for {n} qubits")
+                         f"({m}, 4, 4) or (k, {m}, 4, 4) for {n} qubits")
+    pairs = pairs.reshape((-1, m, 4, 4))
     compiled = compile_noise(config.noise, n, config.seed)
     steps = _step_unitaries(config, compiled, inputs)
-    superops = np.array([_pair_superop(compiled, p) for p in range(n // 2)])
-    if compiled.entanglers or initial is not None:
-        # entanglers couple qubits, and a caller-supplied state need not
-        # factorize: evolve the whole register as one block per state
-        ent = qsim.compile_unitary(compiled.entanglers, n) if compiled.entanglers else None
-        rho = np.reshape(qsim.prepare_plus_state(n) if initial is None else initial,
-                         (-1, dim, dim))
+    superops = np.array([_pair_superop(compiled, p) for p in range(m)])
+    if compiled.entanglers:
+        # entanglers couple qubits: each initial state is one register block
+        ent = qsim.compile_unitary(compiled.entanglers, n)
+        rho = functools.reduce(_kron, pairs.swapaxes(0, 1))
         data = _evolve(steps[:, None], superops[None], ent, rho)
     else:
-        plus = np.broadcast_to(qsim.prepare_plus_state(2), (n // 2, 4, 4))
-        data = _evolve(steps[:, :, None], superops[:, None], None, plus)
+        # each pair of each state is a block; a stack copies the steps k times
+        T, b = len(steps), len(pairs) * m
+        data = _evolve(np.broadcast_to(steps[:, None], (T,) + pairs.shape).reshape(T, b, 1, 4, 4),
+                       np.broadcast_to(superops, pairs.shape[:2] + (16, 16)).reshape(b, 1, 16, 16),
+                       None, pairs.reshape(b, 4, 4))
     return StateMatrix(data.reshape(len(inputs), -1))
 
 
@@ -329,15 +332,17 @@ class EspProbe:
     deltas: np.ndarray          # mean 2-norm difference per step, t = 0..T
     slope: float                # least-squares slope of log(delta) vs t
     fit_points: int             # samples used for the fit (pre-floor segment)
-    floor: float
 
 
 def esp_probe(config: QnrConfig, inputs: Sequence[float], n_trials: int,
-              initial_states: Optional[List[np.ndarray]] = None,
+              initial_states: Optional[Sequence[Sequence[np.ndarray]]] = None,
               floor: float = 1e-13) -> EspProbe:
     """Drive n_trials copies of the reservoir from random initial states.
 
-    All trials run as one stack of initial states in one ``run_qnr`` call.
+    Trial m starts from n/2 Haar-random pair product states drawn in turn from
+    the ("esp", "init", m) stream; ``initial_states`` replaces them with one
+    list of n/2 (4, 4) pair states per trial.  All trials run as one stack of
+    pair states in one ``run_qnr`` call.
     Returns the averaged state difference against the first trajectory,
     delta_t = mean_m ||x_t^(m) - x_t^(1)||_2, plus the fitted log-decay
     slope per step.  The fit stops where the curve hits the numerical floor.
@@ -346,16 +351,16 @@ def esp_probe(config: QnrConfig, inputs: Sequence[float], n_trials: int,
         raise ValueError("esp_probe needs at least 2 trials")
     inputs = np.asarray(inputs, dtype=float)
     if initial_states is None:
-        initial_states = [qsim.haar_product_state(config.n_qubits,
-                                                  stream(config.seed, "esp", "init", m))
-                          for m in range(n_trials)]
+        rngs = [stream(config.seed, "esp", "init", m) for m in range(n_trials)]
+        initial_states = [[qsim.haar_product_state(2, rng) for _ in range(config.n_qubits // 2)]
+                          for rng in rngs]
     if len(initial_states) != n_trials:
         raise ValueError("need one initial state per trial")
-    rho0 = np.array(initial_states)
-    data = run_qnr(config, inputs, initial=rho0).data
+    pairs = np.array(initial_states)
+    data = run_qnr(config, inputs, initial=pairs).data
     # trial m's trajectory from x_0 on; C order, so the mean adds trials in turn
     trajs = np.empty((n_trials, len(inputs) + 1, config.n_qubits))
-    trajs[:, 0] = [qsim.expect_all_z(r) for r in rho0]
+    trajs[:, 0] = [np.concatenate([qsim.expect_all_z(p) for p in s]) for s in pairs]
     trajs[:, 1:] = data.reshape(len(inputs), n_trials, -1).swapaxes(0, 1)
     deltas = np.mean(np.linalg.norm(trajs[1:] - trajs[0], axis=2), axis=0)
     good = deltas > floor
@@ -366,4 +371,4 @@ def esp_probe(config: QnrConfig, inputs: Sequence[float], n_trials: int,
         slope = float(np.polyfit(tgrid, np.log(deltas[:stop]), 1)[0])
     else:
         slope = float("nan")
-    return EspProbe(deltas=deltas, slope=slope, fit_points=stop, floor=floor)
+    return EspProbe(deltas=deltas, slope=slope, fit_points=stop)

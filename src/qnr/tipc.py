@@ -18,9 +18,9 @@ capacities of uninformative terms apply.
 Solver.  ``orthonormalize`` runs one LAPACK Householder QR and falls back
 to modified Gram-Schmidt when a pivot lies under twice the drop floor, so
 keep/drop decisions are Gram-Schmidt's; ``capacities`` applies Q^T from the
-factor without forming Q.  ``scipy.linalg`` is imported inside the solver:
-every ``qnr`` command imports this module, most never reach the solver, and
-the import adds ~6 MiB to a process.
+factor without forming Q.  scipy is imported only where it is called: every
+``qnr`` command imports this module, and ``train``, ``esp`` and ``simulate``
+never call scipy, whose import costs ~70 ms and ~18 MiB per process.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import chdtri, eval_legendre
 
 from .reservoir import StateMatrix
 
@@ -42,8 +41,6 @@ class NormalizedStates:
     P: np.ndarray                 # T x r, orthonormal columns, zero column means
     singular_values: np.ndarray   # all singular values of the centered matrix
     rank: int
-    sv_cutoff: float
-    column_means: np.ndarray
 
 
 def normalize_states(X: np.ndarray, sv_cutoff: float = 1e-10,
@@ -64,10 +61,9 @@ def normalize_states(X: np.ndarray, sv_cutoff: float = 1e-10,
     T = X.shape[0]
     if abs_floor is None:
         abs_floor = 1e-8 * np.sqrt(T)
-    means = X.mean(axis=0)
-    Xc = X - means
+    Xc = X - X.mean(axis=0)
     if not np.any(Xc):
-        return NormalizedStates(np.empty((T, 0)), np.zeros(0), 0, sv_cutoff, means)
+        return NormalizedStates(np.empty((T, 0)), np.zeros(0), 0)
     P, sv, _ = np.linalg.svd(Xc, full_matrices=False)
     keep = sv >= max(sv_cutoff * sv[0], abs_floor)
     r = int(np.sum(keep))
@@ -76,7 +72,7 @@ def normalize_states(X: np.ndarray, sv_cutoff: float = 1e-10,
         col = P[:, k]
         if col[np.argmax(np.abs(col))] < 0:
             P[:, k] = -col
-    return NormalizedStates(P, sv, r, sv_cutoff, means)
+    return NormalizedStates(P, sv, r)
 
 
 @dataclass(frozen=True)
@@ -194,6 +190,7 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     lo, hi = input_range
     legendre = any(t.family == "legendre" for t in terms)
     if legendre:
+        from scipy.special import eval_legendre
         if inputs.min() < lo - 1e-12 or inputs.max() > hi + 1e-12:
             raise ValueError(
                 f"inputs outside declared range [{lo}, {hi}]: "
@@ -390,6 +387,7 @@ def chi2_threshold(T: int, r: int, p: float = 1e-4, sigma: float = 2.0) -> float
         raise ValueError("threshold undefined for rank 0")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
+    from scipy.special import chdtri
     return float(sigma * chdtri(r, p) / T)
 
 
@@ -491,7 +489,6 @@ class TipcSettings:
     max_degree: int = 3
     max_input_delay: int = 20
     max_state_delay: int = 2
-    sv_cutoff: float = 1e-10
     p: float = 1e-4
     sigma: float = 2.0
     family: str = "auto"            # auto | monomial | legendre
@@ -520,7 +517,7 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     measured against the remaining rows, re-orthonormalized.
     """
     X = states.data if isinstance(states, StateMatrix) else np.asarray(states, dtype=float)
-    ns = normalize_states(X, settings.sv_cutoff)
+    ns = normalize_states(X)
     if ns.rank == 0:
         return _empty_profile()
     lx = settings.max_state_delay

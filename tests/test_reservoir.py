@@ -1,5 +1,7 @@
 """Reservoir dynamics, benchmark target, readout and ESP probe tests."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from qnr.noise import (AMPLITUDE_DAMPING, BIT_FLIP, CNOT_BIAS, DEPOLARIZING,
 from qnr.qsim import (apply_kraus, apply_unitary, build_input_unitary,
                       expect_all_z, haar_product_state, prepare_plus_state)
 from qnr import reservoir
+from qnr.rng import stream
 from qnr.reservoir import (EsnConfig, QnrConfig, StateMatrix, benchmark_masks,
                            esn_weights, esp_probe, fit_readout, narma2, nrmse,
                            run_esn, run_qnr, spatial_multiplex)
@@ -28,11 +31,17 @@ def spy(monkeypatch, module, name) -> list:
     return calls
 
 
+def haar_pairs(n_qubits: int, rng) -> np.ndarray:
+    """(n/2, 4, 4) Haar-random pair product states: one initial state of run_qnr."""
+    return np.array([haar_product_state(2, rng) for _ in range(n_qubits // 2)])
+
+
 def reference_qnr(config: QnrConfig, inputs, initial=None) -> np.ndarray:
-    """Gate-by-gate evolution through the generic simulator ops; the oracle
-    for the block kernel of run_qnr."""
+    """Gate-by-gate evolution through the generic simulator ops from the kron
+    of the pair states ``initial``; the oracle for the block kernel of run_qnr."""
     compiled = compile_noise(config.noise, config.n_qubits, config.seed)
-    rho = prepare_plus_state(config.n_qubits) if initial is None else initial
+    rho = (prepare_plus_state(config.n_qubits) if initial is None
+           else functools.reduce(np.kron, initial))
     rows = []
     for u in inputs:
         gates = compiled.perturb_circuit(
@@ -72,11 +81,12 @@ class TestRunQnr:
                      False, id="n2-one-hop"),
         pytest.param(2, _REFERENCE_CASES[2], False, id="n2-specs2"),
         *[pytest.param(6, _REFERENCE_CASES[k], False, id=f"n6-specs{k}") for k in (0, 2, 4, 6)],
-        *[pytest.param(4, _REFERENCE_CASES[k], True, id=f"initial-specs{k}") for k in (0, 1)],
+        *[pytest.param(4, _REFERENCE_CASES[k], True, id=f"initial-specs{k}")
+          for k in (0, 1, 4)],
     ])
     def test_matches_gate_by_gate_reference(self, n_qubits, specs, initial, rng):
         cfg = QnrConfig(n_qubits=n_qubits, noise=specs, seed=11)
-        rho0 = haar_product_state(n_qubits, rng) if initial else None
+        rho0 = haar_pairs(n_qubits, rng) if initial else None
         inputs = rng.uniform(0, 1, size=25)
         fast = run_qnr(cfg, inputs, initial=rho0).data
         slow = reference_qnr(cfg, inputs, initial=rho0)
@@ -111,7 +121,7 @@ class TestRunQnr:
     def test_stacked_initial_states_match_single_runs(self, n_qubits, specs, rng):
         cfg = QnrConfig(n_qubits=n_qubits, noise=specs, seed=13)
         inputs = rng.uniform(0, 1, size=30)
-        states = [haar_product_state(n_qubits, rng) for _ in range(3)]
+        states = [haar_pairs(n_qubits, rng) for _ in range(3)]
         single = np.hstack([run_qnr(cfg, inputs, initial=s).data for s in states])
         stacked = run_qnr(cfg, inputs, initial=np.array(states)).data
         assert stacked.shape == (30, 3 * n_qubits)
@@ -126,9 +136,11 @@ class TestRunQnr:
         run_qnr(QnrConfig(n_qubits=6, noise=specs, seed=2), rng.uniform(0, 1, size=10))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("shape", [(8, 8), (16, 8), (2, 16, 8), (1, 1, 16, 16), (16,)])
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 8), (2, 16, 8), (1, 1, 16, 16), (16,),
+                                       (16, 16), (2, 16, 16), (3, 4, 4), (2, 2, 2, 4),
+                                       (1, 1, 2, 4, 4)])
     def test_wrongly_shaped_initial_state_names_shapes(self, shape):
-        with pytest.raises(ValueError, match=r"shape \(.*expected \(16, 16\) or \(k, 16, 16\)"):
+        with pytest.raises(ValueError, match=r"shape \(.*expected \(2, 4, 4\) or \(k, 2, 4, 4\)"):
             run_qnr(QnrConfig(n_qubits=4), [0.1, 0.2], initial=np.zeros(shape))
 
 
@@ -292,9 +304,9 @@ class TestBenchmarkMasks:
 class TestEspProbe:
     def test_identical_initial_states_stay_identical(self, rng):
         cfg = QnrConfig(noise=[NoiseSpec(AMPLITUDE_DAMPING, 0.1)], seed=5)
-        rho0 = prepare_plus_state(4)
+        pairs = haar_pairs(4, rng)
         probe = esp_probe(cfg, rng.uniform(0, 1, 30), 3,
-                          initial_states=[rho0.copy() for _ in range(3)])
+                          initial_states=[pairs.copy() for _ in range(3)])
         assert np.all(probe.deltas == 0.0)
 
     def test_decay_rate_matches_damping(self, rng):
@@ -311,6 +323,22 @@ class TestEspProbe:
         cfg = QnrConfig(noise=[NoiseSpec(AMPLITUDE_DAMPING, 0.1)], seed=5)
         esp_probe(cfg, rng.uniform(0, 1, 20), 4)
         assert len(runs) == 1 and len(compiles) == 1
+
+    def test_trials_evolve_as_pair_blocks(self, monkeypatch, rng):
+        # a product start without entanglers never builds a register block
+        calls = spy(monkeypatch, reservoir, "_evolve")
+        cfg = QnrConfig(n_qubits=6, noise=[NoiseSpec(AMPLITUDE_DAMPING, 0.1)], seed=5)
+        esp_probe(cfg, rng.uniform(0, 1, 20), 4)
+        assert len(calls) == 1 and calls[0][3].shape == (3 * 4, 4, 4)
+
+    def test_initial_states_split_the_register_product_state(self, monkeypatch, rng):
+        # pair states drawn in turn consume the normals of one n-qubit draw
+        calls = spy(monkeypatch, reservoir, "_evolve")
+        cfg = QnrConfig(n_qubits=6, noise=[NoiseSpec(AMPLITUDE_DAMPING, 0.1)], seed=8)
+        esp_probe(cfg, rng.uniform(0, 1, 5), 3)
+        for m, pairs in enumerate(calls[0][3].reshape(3, 3, 4, 4)):
+            register = haar_product_state(6, stream(8, "esp", "init", m))
+            assert np.abs(functools.reduce(np.kron, pairs) - register).max() <= 1e-15
 
     def test_requires_two_trials(self, rng):
         cfg = QnrConfig(noise=[NoiseSpec(AMPLITUDE_DAMPING, 0.1)])

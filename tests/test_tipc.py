@@ -412,15 +412,16 @@ class TestHouseholderSolver:
         assert bool(fallbacks) == fallback
 
     def test_import_leaves_scipy_linalg_out(self):
-        # the solver imports scipy.linalg on first use; every qnr command
-        # imports tipc, and most of them never reach the solver
+        # scipy is imported where it is used; every qnr command imports
+        # tipc, and most of them never reach scipy
         src = os.path.dirname(os.path.dirname(tipc.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, qnr, qnr.cli; print('scipy.linalg' in sys.modules)"],
+             "import sys, qnr, qnr.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 class TestCapacities:
     def test_exact_reconstruction_scores_one(self, rng):
