@@ -166,6 +166,8 @@ class EspSpec:
             raise ConfigError("esp.gamma must be in (0, 1)")
         if self.trials < 2:
             raise ConfigError("esp.trials must be >= 2")
+        if self.steps < 1:
+            raise ConfigError("esp.steps must be >= 1")
 
 
 @dataclass

@@ -13,7 +13,11 @@ kron of its pair unitaries (then the entangler gates, if any) and applies each
 pair's decoherence superoperator.  Runs start from products of pair states:
 without entanglers each pair of each initial state is a 4 x 4 block, and
 entanglers make each initial state one register block, the kron of its pairs.
-The test suite checks the kernel against gate-by-gate evolution.
+Everything that does not depend on the state is built per chunk of steps (the
+block unitaries, their adjoints, and afterwards the Z readout, one
+matrix-vector product per block), so a step is two conjugation matmuls and the
+superoperators: one more matmul for single-pair blocks.  The test suite checks
+the kernel against gate-by-gate evolution.
 """
 
 from __future__ import annotations
@@ -118,38 +122,88 @@ def _pair_superop(compiled, pair: int) -> np.ndarray:
     for _, kraus, targets in compiled.decoherence:
         for q in (2 * pair, 2 * pair + 1):
             if q in targets:
-                on_pair = [np.kron(K, qsim.I2) if q % 2 == 0 else np.kron(qsim.I2, K)
-                           for K in kraus]
-                Lq = sum(np.kron(K, K.conj()) for K in on_pair)
+                K = np.asarray(kraus)
+                on_pair = _kron(K, qsim.I2) if q % 2 == 0 else _kron(qsim.I2, K)
+                Lq = _kron(on_pair, on_pair.conj()).sum(axis=0)
                 L = Lq if L is None else Lq @ L
     return np.eye(16, dtype=complex) if L is None else L
+
+
+# bytes of b * 4**m * 4**m complex entries that one chunk of steps may hold.
+# A chunk's arrays stay below glibc's 128 KiB mmap threshold, so they reuse
+# heap memory instead of faulting in fresh pages on every chunk (a 6-qubit
+# register state alone is 64 KiB).
+_CHUNK_BYTES = 1 << 16
+
+
+def _chunk_steps(n_blocks: int, dim: int) -> int:
+    """Steps per chunk for n_blocks blocks of dim x dim states: as many as fit
+    the byte budget, at least 1."""
+    return max(1, _CHUNK_BYTES // (n_blocks * dim * dim * 16))
 
 
 def _evolve(steps: np.ndarray, superops: np.ndarray, entangler: Optional[np.ndarray],
             rho: np.ndarray) -> np.ndarray:
     """Z expectations (T, b, 2m) of the b blocks of m pairs in ``rho`` (b, 4**m, 4**m).
 
-    Each step conjugates every block by the kron of its pair unitaries
-    ``steps[t]`` (b or 1, m, 4, 4), then by ``entangler`` unless it is None,
-    and multiplies each pair's (ket, bra) axes by its 16x16 superoperator in
-    ``superops`` (b or 1, m, 16, 16); a leading 1 shares them across blocks.
+    ``rho`` stacks k states of nb blocks each, state-major, so block i takes
+    its pair unitaries from ``steps[t]`` (nb, m, 4, 4) and its 16x16 pair
+    superoperators from ``superops`` (nb or 1, m, 16, 16) at index i % nb.
+    Each step conjugates every block by the kron of its pair unitaries, then by
+    ``entangler`` unless it is None, and multiplies each pair's (ket, bra)
+    axes by its superoperator.
+
+    The steps run in chunks whose states fit ``_CHUNK_BYTES``.  Per chunk the
+    block unitaries (kron, then entangler) and their adjoints are built at
+    once; per step come the two conjugation matmuls and the superoperators:
+    one matmul on the (16, 1) column of a single-pair block, written into the
+    chunk's state buffer, or the per-pair contraction of a register block,
+    whose diagonal alone is kept.  After the chunk, the Z readout is one
+    matrix-vector product per block.
     """
-    b, m = len(rho), steps.shape[2]
+    T, nb, m = steps.shape[:3]
+    d = 4**m
+    rho = rho.reshape(-1, nb, d, d)
+    b = len(rho) * nb
     signs = qsim.z_sign_matrix(2 * m)
-    out = np.empty((len(steps), b, 2 * m))
-    for t, pair_unitaries in enumerate(steps):
-        U = functools.reduce(_kron, pair_unitaries.swapaxes(0, 1))
+    out = np.empty((T, b, 2 * m))
+    L = _chunk_steps(b, d)
+    w0, w1 = np.empty((2,) + rho.shape, dtype=complex)
+    if m == 1:
+        states = np.empty((L,) + rho.shape, dtype=complex)
+        # the vectorized pair states as (16, 1) columns, for the superoperators
+        col = rho.shape[:2] + (16, 1)
+        superop, w1_cols, state_cols = superops[:, 0], w1.reshape(col), states.reshape((L,) + col)
+    else:
+        diag = np.empty((L,) + rho.shape[:-1])
+        # axes (k, nb, ket pairs, bra pairs) with pair p's (ket, bra) moved to 2, 3
+        to_front = [(0, 1, 2 + p, 2 + m + p) + tuple(a for a in range(2, 2 + 2 * m)
+                                                   if a not in (2 + p, 2 + m + p))
+                    for p in range(m)]
+        perms = [(axes, tuple(np.argsort(axes))) for axes in to_front]
+    for c in range(0, T, L):
+        U = functools.reduce(_kron, np.moveaxis(steps[c:c + L], 2, 0))
         if entangler is not None:
             U = entangler @ U
-        rho = U @ rho @ U.conj().swapaxes(-1, -2)
-        tens = rho.reshape((b,) + (4,) * (2 * m))
-        for p in range(m):
-            moved = np.moveaxis(tens, (1 + p, 1 + m + p), (1, 2))
-            tens = (superops[:, p] @ moved.reshape(b, 16, -1)).reshape(moved.shape)
-            tens = np.moveaxis(tens, (1, 2), (1 + p, 1 + m + p))
-        rho = tens.reshape(rho.shape)
+        Uh = U.conj().swapaxes(-1, -2)
+        for j in range(len(U)):
+            np.matmul(U[j], rho, out=w0)
+            np.matmul(w0, Uh[j], out=w1)
+            if m == 1:
+                np.matmul(superop, w1_cols, out=state_cols[j])
+                rho = states[j]
+            else:
+                tens = w1.reshape(rho.shape[:2] + (4,) * (2 * m))
+                for p, (axes, back) in enumerate(perms):
+                    moved = tens.transpose(axes)
+                    tens = superops[:, p] @ moved.reshape(moved.shape[:2] + (16, -1))
+                    tens = tens.reshape(moved.shape).transpose(back)
+                rho = tens.reshape(rho.shape)
+                diag[j] = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+        held = np.real(np.diagonal(states, axis1=-2, axis2=-1)) if m == 1 else diag
         # a matrix-vector product per block: gemm here would move the last bit
-        out[t] = (signs @ np.real(np.diagonal(rho, axis1=-2, axis2=-1))[..., None])[..., 0]
+        readout = (signs @ held[:len(U), ..., None])[..., 0]
+        out[c:c + len(U)] = readout.reshape(len(U), b, 2 * m)
     return out
 
 
@@ -165,6 +219,8 @@ def run_qnr(config: QnrConfig, inputs: Sequence[float],
     whose result has k n columns, column block i the run from ``initial[i]``.
     """
     inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 1 or not inputs.size:
+        raise ValueError(f"inputs have shape {inputs.shape}; expected a non-empty 1-D sequence")
     if not np.isfinite(inputs).all():
         raise ValueError("inputs must be finite")
     n, m = config.n_qubits, config.n_qubits // 2
@@ -183,11 +239,8 @@ def run_qnr(config: QnrConfig, inputs: Sequence[float],
         rho = functools.reduce(_kron, pairs.swapaxes(0, 1))
         data = _evolve(steps[:, None], superops[None], ent, rho)
     else:
-        # each pair of each state is a block; a stack copies the steps k times
-        T, b = len(steps), len(pairs) * m
-        data = _evolve(np.broadcast_to(steps[:, None], (T,) + pairs.shape).reshape(T, b, 1, 4, 4),
-                       np.broadcast_to(superops, pairs.shape[:2] + (16, 16)).reshape(b, 1, 16, 16),
-                       None, pairs.reshape(b, 4, 4))
+        # each pair of each state is a block
+        data = _evolve(steps[:, :, None], superops[:, None], None, pairs.reshape(-1, 4, 4))
     return StateMatrix(data.reshape(len(inputs), -1))
 
 

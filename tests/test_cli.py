@@ -46,6 +46,13 @@ class TestConfig:
             with pytest.raises(cfgmod.ConfigError, match="reservoir.masks"):
                 cfgmod.from_dict({"reservoir": {"masks": masks}})
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_esp_steps_must_be_positive(self, steps, tmp_path):
+        # zero steps used to crash `qnr esp` inside numpy's reshape
+        with pytest.raises(cfgmod.ConfigError, match=r"esp.steps must be >= 1"):
+            main(["esp", "--config", _write_cfg(tmp_path, {"esp": {"steps": steps}}),
+                  "--out", str(tmp_path / "out")])
+
     def test_preset_paper_split(self):
         cfg = cfgmod.assemble(None, preset_name="paper")
         assert (cfg.split.washout, cfg.split.train, cfg.split.eval) == (9998, 20000, 20000)

@@ -83,11 +83,13 @@ class TestRunQnr:
         *[pytest.param(6, _REFERENCE_CASES[k], False, id=f"n6-specs{k}") for k in (0, 2, 4, 6)],
         *[pytest.param(4, _REFERENCE_CASES[k], True, id=f"initial-specs{k}")
           for k in (0, 1, 4)],
+        pytest.param(8, _REFERENCE_CASES[4], False, id="n8-specs4"),
     ])
     def test_matches_gate_by_gate_reference(self, n_qubits, specs, initial, rng):
         cfg = QnrConfig(n_qubits=n_qubits, noise=specs, seed=11)
         rho0 = haar_pairs(n_qubits, rng) if initial else None
-        inputs = rng.uniform(0, 1, size=25)
+        # the gate-by-gate reference is slow on 8 qubits
+        inputs = rng.uniform(0, 1, size=5 if n_qubits == 8 else 25)
         fast = run_qnr(cfg, inputs, initial=rho0).data
         slow = reference_qnr(cfg, inputs, initial=rho0)
         assert np.abs(fast - slow).max() <= 1e-12
@@ -109,6 +111,14 @@ class TestRunQnr:
     def test_rejects_nonfinite_inputs(self):
         with pytest.raises(ValueError):
             run_qnr(QnrConfig(), [0.1, np.nan])
+
+    @pytest.mark.parametrize("inputs", [
+        pytest.param([], id="empty"), pytest.param(np.zeros((3, 2)), id="2-D"),
+        pytest.param(np.zeros((1, 4)), id="row"), pytest.param(0.3, id="scalar"),
+    ])
+    def test_rejects_empty_or_non_1d_inputs(self, inputs):
+        with pytest.raises(ValueError, match=r"inputs have shape \(.*expected a non-empty 1-D"):
+            run_qnr(QnrConfig(), inputs)
 
     def test_odd_qubits_rejected(self):
         with pytest.raises(ValueError):
@@ -135,6 +145,37 @@ class TestRunQnr:
         calls = spy(monkeypatch, reservoir, "_evolve")
         run_qnr(QnrConfig(n_qubits=6, noise=specs, seed=2), rng.uniform(0, 1, size=10))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("steps_per_chunk", [1, 7])
+    @pytest.mark.parametrize("specs, k, blocks, dim", [
+        pytest.param([NoiseSpec(AMPLITUDE_DAMPING, 0.1)], 1, 2, 4, id="pair-blocks"),
+        pytest.param([NoiseSpec(AMPLITUDE_DAMPING, 0.1), NoiseSpec(OVER_ROTATION_RX, 0.1)],
+                     3, 6, 4, id="stack-of-3"),
+        pytest.param([NoiseSpec(ENTANGLER_ONE_HOP, 0.1), NoiseSpec(PHASE_DAMPING, 0.1)],
+                     1, 1, 16, id="register"),
+    ])
+    def test_chunk_boundaries_leave_states_unchanged(self, steps_per_chunk, specs, k, blocks,
+                                                     dim, monkeypatch, rng):
+        cfg = QnrConfig(n_qubits=4, noise=specs, seed=17)
+        inputs = rng.uniform(0, 1, size=23)
+        initial = np.array([haar_pairs(4, rng) for _ in range(k)])
+        default = run_qnr(cfg, inputs, initial=initial).data
+        monkeypatch.setattr(reservoir, "_CHUNK_BYTES", steps_per_chunk * blocks * dim * dim * 16)
+        assert reservoir._chunk_steps(blocks, dim) == steps_per_chunk
+        assert np.array_equal(run_qnr(cfg, inputs, initial=initial).data, default)
+
+    @pytest.mark.parametrize("blocks, dim", [
+        pytest.param(1, 2**12, id="n12-register"),
+        pytest.param(1, 2**6, id="n6-register"),
+        pytest.param(2, 4, id="n4-pairs"),
+        pytest.param(60, 4, id="n12-stack-of-10"),
+    ])
+    def test_chunk_length_stays_within_budget(self, blocks, dim):
+        # a 12-qubit register state is 256 MiB: a chunk never holds two of them
+        steps = reservoir._chunk_steps(blocks, dim)
+        per_step = blocks * dim * dim * 16
+        assert steps >= 1 and (steps == 1 or steps * per_step <= reservoir._CHUNK_BYTES)
+        assert (steps + 1) * per_step > reservoir._CHUNK_BYTES
 
     @pytest.mark.parametrize("shape", [(8, 8), (16, 8), (2, 16, 8), (1, 1, 16, 16), (16,),
                                        (16, 16), (2, 16, 16), (3, 4, 4), (2, 2, 2, 4),
