@@ -53,6 +53,8 @@ class SplitSpec:
     def validate(self):
         if min(self.washout, self.train, self.eval) < 0:
             raise ConfigError("split lengths must be non-negative")
+        if self.total < 1:
+            raise ConfigError("split.washout + split.train + split.eval must be >= 1")
 
     @property
     def total(self) -> int:

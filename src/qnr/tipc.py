@@ -15,16 +15,20 @@ column-centered before the SVD and every basis is orthogonalized against
 the constant, which is what makes the chi-squared error model for the
 capacities of uninformative terms apply.
 
-Solver.  ``orthonormalize`` runs one LAPACK Householder QR and falls back
-to modified Gram-Schmidt when a pivot lies under twice the drop floor, so
-keep/drop decisions are Gram-Schmidt's; ``capacities`` applies Q^T from the
-factor without forming Q.  scipy is imported only where it is called: every
+Solver.  ``orthonormalize`` factors a tall, well-conditioned basis by
+Cholesky of its Gram matrix, which reads the column-major basis in place;
+any other basis, or one whose Gram factor fails its condition or pivot
+check, by one LAPACK Householder QR; and falls back to modified
+Gram-Schmidt when a QR pivot lies under twice the drop floor, so keep/drop
+decisions are Gram-Schmidt's.  ``capacities`` applies Q^T from the factor
+without forming Q.  scipy is imported only where it is called: every
 ``qnr`` command imports this module, and ``train``, ``esp`` and ``simulate``
 never call scipy, whose import costs ~70 ms and ~18 MiB per process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -132,7 +136,18 @@ def enumerate_bases(max_degree: int, max_input_delay: int, max_state_delay: int,
                     term_cap: int = 20000) -> List[BasisTerm]:
     """All terms with input order + state order <= max_degree, in the fixed
     evaluation order: ascending (degree, state order, max delay, reverse-
-    lexicographic exponent tuples)."""
+    lexicographic exponent tuples).
+
+    The enumeration is cached per argument set (the per-qubit re-analyses
+    of ``qnr tipc`` repeat it); each call returns a new list.
+    """
+    return list(_enumerate_bases(max_degree, max_input_delay, max_state_delay,
+                                 rank, family, term_cap))
+
+
+@functools.lru_cache(maxsize=16)
+def _enumerate_bases(max_degree: int, max_input_delay: int, max_state_delay: int,
+                     rank: int, family: str, term_cap: int) -> Tuple[BasisTerm, ...]:
     if max_degree < 1 or max_input_delay < 1:
         raise ValueError("max_degree and max_input_delay must be >= 1")
     if family not in ("monomial", "legendre"):
@@ -163,7 +178,7 @@ def enumerate_bases(max_degree: int, max_input_delay: int, max_state_delay: int,
                     f"basis enumeration exceeds the term cap ({term_cap}); "
                     "reduce max_degree or the delay windows")
     keyed.sort(key=lambda pair: pair[0])
-    return [term for _, term in keyed]
+    return tuple(term for _, term in keyed)
 
 
 def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: int,
@@ -177,7 +192,8 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     Legendre input factors are evaluated after affinely mapping the declared
     input range onto [-1, 1]; state factors read raw powers of ``xhat``.
     Each distinct factor is evaluated once per call and shared by the terms
-    that contain it.
+    that contain it.  The result is column-major, so each term's column is
+    contiguous for the solvers of ``orthonormalize``.
     """
     inputs = np.asarray(inputs, dtype=float)
     if xhat is not None and n_rows is None:
@@ -199,27 +215,41 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     else:
         scaled = inputs
 
-    out = np.empty((n_rows, len(terms)))
+    out = np.empty((n_rows, len(terms)), order="F")
     rows = np.arange(start_row, start_row + n_rows)
     factors: Dict[tuple, np.ndarray] = {}   # (s, e, family) or (k, s, e)
     for j, term in enumerate(terms):
-        col = np.ones(n_rows)
+        fs = []
         for s, e in term.input_exponents:
             key = (s, e, term.family)
             if key not in factors:
                 seg_idx = input_offset + rows - s + 1
                 factors[key] = (eval_legendre(e, scaled[seg_idx])
                                 if term.family == "legendre" else inputs[seg_idx] ** e)
-            col = col * factors[key]
+            fs.append(factors[key])
         for k, s, e in term.state_exponents:
             if xhat is None:
                 raise ValueError("state-history term without normalized states")
             key = (k, s, e)
             if key not in factors:
                 factors[key] = xhat[rows - s, k] ** e
-            col = col * factors[key]
-        out[:, j] = col
+            fs.append(factors[key])
+        col = out[:, j]
+        col[:] = fs[0] if fs else 1.0
+        for f in fs[1:]:
+            col *= f
     return out
+
+
+# The Gram/Cholesky solver squares the basis's condition number, so it is
+# taken only while the condition estimate of its column-equilibrated factor
+# is at most this: eps * 64**2 = 9.1e-13.
+_GRAM_MAX_COND = 64.0
+# ... and only with at least this many rows per column.  Nearer square, a
+# 164-term Legendre basis of uniform inputs already fails the condition bound
+# (its estimate is 68 at 4 rows per column, 36 at 6), so the Gram matrix
+# would be formed for nothing before the QR.
+_GRAM_MIN_ROWS_PER_COLUMN = 8
 
 
 @dataclass
@@ -227,45 +257,66 @@ class Orthonormalized:
     """Result of the sequential orthonormalization of the basis matrix.
 
     ``kept`` and ``dropped`` index the basis columns.  The kept vectors
-    (constant excluded) are an explicit Q from the Gram-Schmidt fallback, or
-    else the Householder factor (F, tau, leading constant columns); then
-    ``Q`` is built on first access, with Gram-Schmidt's column signs.
+    (constant excluded) are held as the factor of the solver that took the
+    basis: ``("cholesky", A, R, first)``, the basis A itself and the upper
+    triangular R of [constant | A] = Q R; ``("householder", F, tau, first)``,
+    LAPACK's QR of [constant | kept columns]; or ``("gram_schmidt", Q)``.
+    ``first`` counts the constant columns.  ``Q`` is built from the first two
+    on first access, with Gram-Schmidt's column signs; only tests read it.
     """
 
     kept: List[int]
     dropped: List[int]
+    _factor: tuple = field(repr=False)
     _Q: Optional[np.ndarray] = field(default=None, repr=False)
-    _householder: Optional[Tuple[np.ndarray, np.ndarray, int]] = field(default=None,
-                                                                       repr=False)
 
     @property
     def n_rows(self) -> int:
-        return (self._Q if self._Q is not None else self._householder[0]).shape[0]
+        return self._factor[1].shape[0]
 
     @property
     def Q(self) -> np.ndarray:
         """T' x n_kept, orthonormal columns (constant excluded)."""
+        kind, *factor = self._factor
+        if kind == "gram_schmidt":
+            return factor[0]
         if self._Q is None:
             from scipy.linalg import lapack
-            F, tau, first = self._householder
-            q, _, _ = lapack.dorgqr(F, tau)
-            self._Q = q[:, first:] * np.copysign(1.0, np.diagonal(F)[first:])
+            if kind == "householder":
+                F, tau, first = factor
+                q, _, _ = lapack.dorgqr(F, tau)
+                self._Q = q[:, first:] * np.copysign(1.0, np.diagonal(F)[first:])
+            else:
+                # Q^T = R^-T F^T; Cholesky's diagonal is positive, as
+                # Gram-Schmidt's norms are
+                A, R, first = factor
+                qt, _ = lapack.dtrtrs(R, _with_constant(A, first).T, trans=1)
+                self._Q = qt[first:].T
         return self._Q
 
     def project(self, P: np.ndarray) -> np.ndarray:
         """Q^T P: coefficients of P's columns on the kept vectors (n_kept x r)."""
-        if self._householder is None:
-            return self._Q.T @ P
+        kind, *factor = self._factor
+        if kind == "gram_schmidt":
+            return factor[0].T @ P
         from scipy.linalg import lapack
-        F, tau, first = self._householder
-        lwork = int(lapack.dormqr("L", "T", F, tau, P, -1)[1][0])
-        QtP, _, _ = lapack.dormqr("L", "T", F, tau, P, lwork)
-        return QtP[first:F.shape[1]]
+        if kind == "householder":
+            F, tau, first = factor
+            lwork = int(lapack.dormqr("L", "T", F, tau, P, -1)[1][0])
+            QtP, _, _ = lapack.dormqr("L", "T", F, tau, P, lwork)
+            return QtP[first:F.shape[1]]
+        # R^-T F^T P, with F^T P from P's column sums and A^T P
+        A, R, first = factor
+        FtP = np.empty((R.shape[0], P.shape[1]), order="F")
+        FtP[:first] = P.sum(axis=0) / np.sqrt(A.shape[0])
+        FtP[first:] = A.T @ P
+        QtP, _ = lapack.dtrtrs(R, FtP, trans=1, overwrite_b=1)
+        return QtP[first:]
 
 
 def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
                    drop_tol: float = 1e-8, block: int = 64) -> Orthonormalized:
-    """Sequential orthonormalization of the columns, by Householder QR.
+    """Sequential orthonormalization of the columns.
 
     A column is dropped as linearly dependent when its component orthogonal
     to the constant (when prepended) and to every earlier kept column has
@@ -273,14 +324,27 @@ def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
     included) they span R^T and every later column is dropped.  The
     constant centers every retained basis but is not reported.
 
-    Real bases drop nothing before they saturate R^T, so one LAPACK QR of
-    the constant and the leading min(B, T - 1) columns decides: when every
-    |R_jj| (constant excluded) is at least twice the floor, those columns
-    are kept and the rest dropped, which is what Gram-Schmidt decides too,
-    because the two pivots agree to rounding far inside that factor.
-    Otherwise the basis goes through modified Gram-Schmidt (``block``
-    columns per matrix product, one re-orthogonalization pass), which
-    applies the drop rule column by column.
+    Three solvers are tried in turn; the first whose checks pass takes the
+    basis:
+
+    1. Gram/Cholesky, for a tall basis (at least
+       ``_GRAM_MIN_ROWS_PER_COLUMN`` rows per column, so it cannot saturate
+       R^T): Cholesky of the column-equilibrated Gram matrix of the constant
+       and the basis, formed without copying the basis.  It passes when the
+       factorization succeeds, its condition estimate is at most
+       ``_GRAM_MAX_COND`` and every pivot R_jj (constant excluded) is at
+       least twice the floor; then every column is kept.
+    2. LAPACK Householder QR of the constant and the leading min(B, T - 1)
+       columns.  It passes when every |R_jj| (constant excluded) is at
+       least twice the floor; those columns are kept and the rest dropped.
+    3. Modified Gram-Schmidt on the whole basis (``block`` columns per
+       matrix product, one re-orthogonalization pass), which applies the
+       drop rule column by column.
+
+    Real bases drop nothing before they saturate R^T.  Where 1 or 2 passes,
+    Gram-Schmidt decides the same, because their pivots agree to rounding
+    far inside the factor two; the condition bound keeps the Gram's squared
+    conditioning to ~1e-12 relative.
     """
     A = np.asarray(basis, dtype=float)
     T, B = A.shape
@@ -288,20 +352,68 @@ def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
         raise ValueError(f"basis has no rows (shape {A.shape})")
     floor = drop_tol * np.sqrt(T)
     first = int(prepend_constant)
+    return (_cholesky(A, first, floor) or _householder(A, first, floor)
+            or _gram_schmidt(A, prepend_constant, floor, block))
+
+
+def _with_constant(A: np.ndarray, first: int) -> np.ndarray:
+    """Column-major copy of A after ``first`` (0 or 1) constant columns 1/sqrt(T)."""
+    T = A.shape[0]
+    F = np.empty((T, first + A.shape[1]), order="F")
+    F[:, :first] = 1.0 / np.sqrt(T)
+    F[:, first:] = A
+    return F
+
+
+def _cholesky(A: np.ndarray, first: int, floor: float) -> Optional[Orthonormalized]:
+    """Solver 1 of ``orthonormalize``, or None where its gate fails.
+
+    The Gram matrix of [constant | A] is A^T A from dsyrk, which reads a
+    column-major A in place and a row-major one as its transpose, bordered
+    by A's column sums.  Its columns are scaled to unit norm before the
+    factorization, so that the condition estimate sees the directions of
+    the basis, not the scales of its columns.  Comparisons are written so
+    that NaN fails them.
+    """
+    T, B = A.shape
+    if B == 0 or T < _GRAM_MIN_ROWS_PER_COLUMN * B:
+        return None
+    from scipy.linalg import blas, lapack
+    a, trans = (A, 1) if A.flags.f_contiguous else (A.T, 0)
+    G = np.zeros((first + B, first + B), order="F")
+    G[first:, first:] = blas.dsyrk(1.0, a, trans=trans)
+    if first:
+        G[0, 0] = 1.0
+        G[0, 1:] = A.sum(axis=0) / np.sqrt(T)
+    norms = np.sqrt(np.diagonal(G))
+    # a pivot never exceeds its column's norm
+    if not norms[first:].min() >= 2.0 * floor:
+        return None
+    R, info = lapack.dpotrf(G / norms / norms[:, None], overwrite_a=1)
+    if info != 0 or not lapack.dtrcon(R)[0] * _GRAM_MAX_COND >= 1.0:
+        return None
+    R *= norms
+    if not np.diagonal(R)[first:].min() >= 2.0 * floor:
+        return None
+    return Orthonormalized(kept=list(range(B)), dropped=[],
+                           _factor=("cholesky", A, R, first))
+
+
+def _householder(A: np.ndarray, first: int, floor: float) -> Optional[Orthonormalized]:
+    """Solver 2 of ``orthonormalize``, or None where its gate fails."""
+    T, B = A.shape
     m = min(B, T - first)
     if m == 0:
-        return _gram_schmidt(A, prepend_constant, floor, block)
+        return None
     from scipy.linalg import lapack
-    F = np.empty((T, first + m), order="F")
-    F[:, :first] = 1.0 / np.sqrt(T)
-    F[:, first:] = A[:, :m]
+    F = _with_constant(A[:, :m], first)
     # the lwork=-1 query of dgeqrf would copy the whole matrix
     lwork = int(lapack.dgeqrf_lwork(T, first + m)[0])
     F, tau, _, _ = lapack.dgeqrf(F, lwork=lwork, overwrite_a=1)
     if np.abs(np.diagonal(F)[first:]).min() < 2.0 * floor:
-        return _gram_schmidt(A, prepend_constant, floor, block)
+        return None
     return Orthonormalized(kept=list(range(m)), dropped=list(range(m, B)),
-                           _householder=(F, tau, first))
+                           _factor=("householder", F, tau, first))
 
 
 def _gram_schmidt(A: np.ndarray, prepend_constant: bool, floor: float,
@@ -351,7 +463,8 @@ def _gram_schmidt(A: np.ndarray, prepend_constant: bool, floor: float,
             Q[:, k] = v / nv
             kept.append(j0 + c)
             k += 1
-    return Orthonormalized(kept=kept, dropped=dropped, _Q=Q[:, first:k])
+    return Orthonormalized(kept=kept, dropped=dropped,
+                           _factor=("gram_schmidt", Q[:, first:k]))
 
 
 @dataclass

@@ -53,6 +53,11 @@ class TestConfig:
             main(["esp", "--config", _write_cfg(tmp_path, {"esp": {"steps": steps}}),
                   "--out", str(tmp_path / "out")])
 
+    def test_empty_split_rejected(self):
+        # an all-zero split used to pass validation and crash in run_qnr
+        with pytest.raises(cfgmod.ConfigError, match=r"split\.washout \+ split\.train"):
+            cfgmod.assemble({"split": {"washout": 0, "train": 0, "eval": 0}})
+
     def test_preset_paper_split(self):
         cfg = cfgmod.assemble(None, preset_name="paper")
         assert (cfg.split.washout, cfg.split.train, cfg.split.eval) == (9998, 20000, 20000)

@@ -189,6 +189,15 @@ class TestEnumerateBases:
         assert enumerate_bases(degree, L, lx, rank, family) == \
             reference_enumerate(degree, L, lx, rank, family)
 
+    def test_repeated_enumeration_returns_new_lists_from_the_cache(self):
+        tipc._enumerate_bases.cache_clear()
+        first = enumerate_bases(2, 4, 1, 2, "legendre")
+        first.append(first[0])       # a caller's list is its own
+        again = enumerate_bases(2, 4, 1, 2, "legendre")
+        assert tipc._enumerate_bases.cache_info().hits == 1
+        assert again is not first
+        assert again == reference_enumerate(2, 4, 1, 2, "legendre")
+
     def test_labels_use_figure_convention(self):
         t1 = BasisTerm(input_exponents=((1, 1),), family="legendre")
         t2 = BasisTerm(input_exponents=((3, 2),), family="legendre")
@@ -244,6 +253,7 @@ class TestEvaluateBases:
         terms = enumerate_bases(3, 6, 2, ns.rank, family)
         assert any(t.state_exponents for t in terms)
         fast = evaluate_bases(terms, u, off, xhat=ns.P, start_row=2)
+        assert fast.flags.f_contiguous
         assert np.array_equal(fast, reference_evaluate(terms, u, off, xhat=ns.P,
                                                        start_row=2))
 
@@ -342,16 +352,23 @@ class TestOrthonormalize:
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Shapes of the bases that went through the Gram-Schmidt fallback."""
+def solvers(monkeypatch):
+    """(solver, basis shape) of every factorization that orthonormalize took."""
     seen = []
-    real = tipc._gram_schmidt
 
-    def spy(A, *args):
-        seen.append(A.shape)
-        return real(A, *args)
+    def spy_on(name):
+        real = getattr(tipc, f"_{name}")
 
-    monkeypatch.setattr(tipc, "_gram_schmidt", spy)
+        def spy(A, *args):
+            res = real(A, *args)
+            if res is not None:
+                seen.append((name, A.shape))
+            return res
+
+        monkeypatch.setattr(tipc, f"_{name}", spy)
+
+    for name in ("cholesky", "householder", "gram_schmidt"):
+        spy_on(name)
     return seen
 
 
@@ -363,9 +380,12 @@ def reference_capacities(P, B):
 
 
 class TestHouseholderSolver:
-    @pytest.mark.parametrize("n_rows,n_kept", [(2000, 164), (170, 164), (150, 149)],
-                             ids=["tall", "near-square", "wide"])
-    def test_capacities_match_reference(self, rng, fallbacks, n_rows, n_kept):
+    @pytest.mark.parametrize("n_rows,n_kept,solver", [(2000, 164, "cholesky"),
+                                                      (170, 164, "householder"),
+                                                      (150, 149, "householder"),
+                                                      (20000, 164, "cholesky")],
+                             ids=["tall", "near-square", "wide", "taller"])
+    def test_capacities_match_reference(self, rng, solvers, n_rows, n_kept, solver):
         u = rng.uniform(-1, 1, size=n_rows + 100)
         B = evaluate_bases(enumerate_bases(3, 8, 0, 0, "legendre"), u, 100,
                            n_rows=n_rows)
@@ -374,13 +394,16 @@ class TestHouseholderSolver:
         P = normalize_states(x + 0.01 * rng.normal(size=x.shape)).P
         caps, kept, dropped = reference_capacities(P, B)
         res = orthonormalize(B)
-        assert fallbacks == []
-        assert res.kept == kept == list(range(n_kept))
-        assert res.dropped == dropped
+        assert solvers == [(solver, B.shape)]
+        qr = tipc._householder(B, 1, 1e-8 * np.sqrt(n_rows))
+        assert res.kept == qr.kept == kept == list(range(n_kept))
+        assert res.dropped == qr.dropped == dropped
         mine = [r.capacity for r in capacities(P, res, [BasisTerm()] * B.shape[1])]
         assert np.abs(np.array(mine) - caps).max() <= 1e-12
+        assert np.abs(np.sum(res.project(P) ** 2, axis=1)
+                      - np.sum(qr.project(P) ** 2, axis=1)).max() <= 1e-12
 
-    def test_duplicate_early_column_falls_back(self, rng, fallbacks):
+    def test_duplicate_early_column_falls_back(self, rng, solvers):
         u, x, off = _echo_states(rng, 60)
         ns = normalize_states(x)
         terms = enumerate_bases(3, 6, 2, ns.rank, "legendre")
@@ -390,7 +413,7 @@ class TestHouseholderSolver:
         Q, kept, dropped = reference_mgs(B)
         caps, _, _ = reference_capacities(P, B)
         res = orthonormalize(B)
-        assert fallbacks == [B.shape]
+        assert solvers == [("gram_schmidt", B.shape)]
         assert 5 in dropped and len(kept) == B.shape[0] - 1
         assert res.kept == kept and res.dropped == dropped
         assert np.abs(res.Q - Q).max() <= 1e-12
@@ -400,16 +423,17 @@ class TestHouseholderSolver:
     @pytest.mark.parametrize("factor,fallback,kept",
                              [(0.5, True, [0]), (1.5, True, [0, 1]),
                               (3.0, False, [0, 1])])
-    def test_pivot_under_twice_the_floor_falls_back(self, rng, fallbacks, factor,
+    def test_pivot_under_twice_the_floor_falls_back(self, rng, solvers, factor,
                                                     fallback, kept):
         # the second column's pivot is factor * drop_tol * sqrt(T)
         T, drop_tol = 100, 1e-8
         a = rng.normal(size=T)
         W, _ = np.linalg.qr(np.column_stack([np.ones(T), a, rng.normal(size=T)]))
         b = 3.0 * a + 0.7 + factor * drop_tol * np.sqrt(T) * W[:, 2]
-        res = orthonormalize(np.column_stack([a, b]), drop_tol=drop_tol)
-        assert res.kept == kept
-        assert bool(fallbacks) == fallback
+        A = np.column_stack([a, b])
+        res = orthonormalize(A, drop_tol=drop_tol)
+        assert res.kept == kept == reference_mgs(A, drop_tol)[1]
+        assert solvers == [("gram_schmidt" if fallback else "householder", A.shape)]
 
     def test_import_leaves_scipy_linalg_out(self):
         # scipy is imported where it is used; every qnr command imports
@@ -422,6 +446,87 @@ class TestHouseholderSolver:
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestCholeskySolver:
+    @pytest.mark.parametrize("factor,solver", [(0.8, "cholesky"), (1.25, "householder")])
+    def test_condition_bound_edge(self, rng, solvers, factor, solver):
+        # unit columns a and c a + s w, both orthogonal to the constant: the
+        # equilibrated factor is diag(1, [[1, c], [0, s]]), whose 1-norm
+        # condition number is (c + s)(1 + c)/s
+        T = 400
+        W, _ = np.linalg.qr(np.column_stack([np.ones(T), rng.normal(size=(T, 2))]))
+
+        def cond(s):
+            c = math.sqrt(1.0 - s * s)
+            return (c + s) * (1.0 + c) / s
+
+        s = brentq(lambda s: cond(s) - factor * tipc._GRAM_MAX_COND, 1e-6, 0.7)
+        c = math.sqrt(1.0 - s * s)
+        A = np.column_stack([W[:, 1], c * W[:, 1] + s * W[:, 2]])
+        res = orthonormalize(A)
+        assert solvers == [(solver, A.shape)]
+        Q, kept, dropped = reference_mgs(A)
+        assert res.kept == kept == [0, 1] and res.dropped == dropped == []
+        assert np.abs(res.Q - Q).max() <= 1e-12
+
+    @pytest.mark.parametrize("factor,solver,kept",
+                             [(0.0, "gram_schmidt", [0]),
+                              (0.5, "gram_schmidt", [0]),
+                              (1.5, "gram_schmidt", [0, 1]),
+                              (3.0, "cholesky", [0, 1])])
+    def test_pivot_under_twice_the_floor_is_refused(self, rng, solvers, factor,
+                                                    solver, kept):
+        # the second column is factor * drop_tol * sqrt(T) (w + a): pivot
+        # factor times the floor, norm sqrt(2) times that, condition ~2.4
+        T, drop_tol = 400, 1e-8
+        W, _ = np.linalg.qr(np.column_stack([np.ones(T), rng.normal(size=(T, 2))]))
+        A = np.column_stack([W[:, 1],
+                             factor * drop_tol * np.sqrt(T) * (W[:, 2] + W[:, 1])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = orthonormalize(A, drop_tol=drop_tol)
+        assert solvers == [(solver, A.shape)]
+        assert res.kept == kept == reference_mgs(A, drop_tol)[1]
+
+    @pytest.mark.parametrize("rows_per_column,solver", [(7, "householder"),
+                                                        (8, "cholesky")])
+    def test_gram_path_needs_rows_per_column(self, rng, solvers, monkeypatch,
+                                             rows_per_column, solver):
+        terms = enumerate_bases(2, 5, 0, 0, "legendre")
+        n_rows = rows_per_column * len(terms)
+        u = rng.uniform(-1, 1, size=n_rows + 100)
+        B = evaluate_bases(terms, u, 100, n_rows=n_rows)
+        res = orthonormalize(B)
+        assert solvers == [(solver, B.shape)]
+        assert res.kept == reference_mgs(B)[1] == list(range(len(terms)))
+        # the shape alone decided: the Gram factor passes its other checks
+        monkeypatch.setattr(tipc, "_GRAM_MIN_ROWS_PER_COLUMN", rows_per_column)
+        assert orthonormalize(B).kept == res.kept
+        assert solvers[1:] == [("cholesky", B.shape)]
+
+    def test_ill_conditioned_basis_keeps_reference_decisions(self, solvers):
+        T = 400
+        t = np.linspace(0.01, 1, T)
+        hilbertish = np.column_stack([t**k for k in range(12)])
+        res = orthonormalize(hilbertish)
+        assert solvers[0][0] in ("householder", "gram_schmidt")
+        _, kept, dropped = reference_mgs(hilbertish)
+        assert res.kept == kept and res.dropped == dropped
+
+    def test_row_major_basis_reads_as_transpose(self, rng, solvers):
+        u = rng.uniform(-1, 1, size=1100)
+        B = evaluate_bases(enumerate_bases(2, 6, 0, 0, "legendre"), u, 100,
+                           n_rows=1000)
+        C = np.ascontiguousarray(B)
+        P = rng.normal(size=(1000, 3)) + 0.5   # the constant's row matters too
+        a, b = orthonormalize(B), orthonormalize(C)
+        assert [s for s, _ in solvers] == ["cholesky", "cholesky"]
+        assert a._factor[1] is B and b._factor[1] is C   # the basis, not a copy
+        assert a.kept == b.kept
+        assert np.abs(a.project(P) - b.project(P)).max() <= 1e-12
+        assert np.abs(a.project(P) - a.Q.T @ P).max() <= 1e-12
+
 
 class TestCapacities:
     def test_exact_reconstruction_scores_one(self, rng):
