@@ -39,7 +39,6 @@ from .reservoir import (
 from .tipc import (
     BasisTerm,
     CapacityProfile,
-    CapacityRecord,
     TipcSettings,
     analyze_states,
     capacities,

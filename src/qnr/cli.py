@@ -187,16 +187,11 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-def _analyze_matrix(cfg, sm: StateMatrix, inputs, input_offset, settings):
-    srng = stream(cfg.seed, "surrogate") if settings.threshold_mode == "surrogate" else None
-    return analyze_states(sm, inputs, input_offset, settings, surrogate_rng=srng)
-
-
 def _per_qubit_rows(cfg, sm: StateMatrix, inputs, input_offset, settings):
     rows = []
     for q in range(sm.n_features):
-        prof = _analyze_matrix(cfg, StateMatrix(sm.data[:, [q]]), inputs, input_offset,
-                               settings)
+        prof = analyze_states(StateMatrix(sm.data[:, [q]]), inputs, input_offset, settings,
+                              surrogate_rng=stream(cfg.seed, "surrogate"))
         rows.append((q, prof.rank, prof.c_tiv_tot, prof.c_tv_tot, prof.c_tot))
     return rows
 
@@ -209,6 +204,12 @@ def cmd_tipc(cfg) -> int:
         inputs, states = dataio.read_trace(cfg.ingest.inputs, cfg.ingest.states)
         # recorded traces carry no washout rows; delays eat into the window
         offset = cfg.tipc.max_input_delay
+        window = offset + cfg.tipc.max_state_delay
+        if len(inputs) <= window:
+            raise dataio.IngestError(
+                f"{cfg.ingest.states[0]}: {len(inputs)} state rows, but "
+                f"tipc.max_input_delay + tipc.max_state_delay = {window} "
+                f"needs at least {window + 1}")
         runs = [(f"trace{i}", None, StateMatrix(sm.data[offset:]), inputs, offset)
                 for i, sm in enumerate(states)]
     else:
@@ -220,7 +221,8 @@ def cmd_tipc(cfg) -> int:
                 for (i, mask, _), sm in zip(instances, _run_instances(cfg, instances, inputs))]
     summary = []
     for name, mask, sm, inputs_used, offset in runs:
-        prof = _analyze_matrix(cfg, sm, inputs_used, offset, settings)
+        prof = analyze_states(sm, inputs_used, offset, settings,
+                              surrogate_rng=stream(cfg.seed, "surrogate"))
         pj = out / f"profile_{name}.json"
         pc = out / f"profile_{name}_degrees.csv"
         dataio.write_profile_json(pj, prof)
@@ -257,13 +259,14 @@ def cmd_ipc(cfg) -> int:
     w, span = cfg.tipc.washout, cfg.tipc.analysis_len
     inputs = _draw_inputs(cfg, w + span)
     y = _target_sequence(cfg, inputs)[w:]
-    srng = stream(cfg.seed, "surrogate") if settings.threshold_mode == "surrogate" else None
-    prof = ipc_of_target(y, inputs, w, settings, surrogate_rng=srng)
+    prof = ipc_of_target(y, inputs, w, settings, surrogate_rng=stream(cfg.seed, "surrogate"))
     pj, pc = out / "ipc_profile.json", out / "ipc_profile_degrees.csv"
     dataio.write_profile_json(pj, prof)
     dataio.write_profile_degrees_csv(pc, prof)
     dataio.write_json(out / "manifest.json", _manifest(cfg, "ipc", [pj, pc]))
-    lead = sorted((r.capacity, r.term.label()) for r in prof.records if not r.truncated)
+    caps = prof.capacity.tolist()
+    lead = sorted((caps[j], prof.terms[j].label())
+                  for j in np.flatnonzero(~prof.truncated).tolist())
     for cap, label in lead[::-1][:3]:
         print(f"ipc: {label} = {cap:.4f}")
     return 0

@@ -153,6 +153,15 @@ class TipcSpec:
             raise ConfigError(f"tipc.family invalid: {self.family!r}")
         if self.threshold not in ("chi2", "surrogate"):
             raise ConfigError(f"tipc.threshold invalid: {self.threshold!r}")
+        for key in ("max_degree", "max_input_delay", "surrogates", "term_cap"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"tipc.{key} must be >= 1")
+        if self.max_state_delay < 0:
+            raise ConfigError("tipc.max_state_delay must be >= 0")
+        if not 0.0 < self.p < 1.0:
+            raise ConfigError("tipc.p must be in (0, 1)")
+        if self.analysis_len <= self.max_state_delay:
+            raise ConfigError("tipc.analysis_len must exceed tipc.max_state_delay")
         if self.washout < self.max_input_delay:
             raise ConfigError("tipc.washout must cover max_input_delay of history")
 

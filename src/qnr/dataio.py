@@ -118,17 +118,19 @@ def profile_to_dict(prof: CapacityProfile) -> dict:
         ],
         "records": [
             {
-                "label": rec.term.label(),
-                "family": rec.term.family,
-                "input_exponents": [list(x) for x in rec.term.input_exponents],
-                "state_exponents": [list(x) for x in rec.term.state_exponents],
-                "input_order": rec.term.input_order,
-                "state_order": rec.term.state_order,
-                "classification": rec.classification,
-                "capacity": rec.capacity,
-                "truncated": rec.truncated,
+                "label": term.label(),
+                "family": term.family,
+                "input_exponents": [list(x) for x in term.input_exponents],
+                "state_exponents": [list(x) for x in term.state_exponents],
+                "input_order": term.input_order,
+                "state_order": term.state_order,
+                "classification": "TIV" if term.is_time_invariant else "TV",
+                "capacity": capacity,
+                "truncated": truncated,
             }
-            for rec in prof.records
+            # tolist: JSON takes Python floats and bools, not np.bool_
+            for term, capacity, truncated in zip(prof.terms, prof.capacity.tolist(),
+                                                 prof.truncated.tolist())
         ],
     }
 

@@ -5,7 +5,10 @@ the normalized states in orthonormal polynomial bases built from input
 history and normalized-state history, project to get one capacity per
 basis term, truncate against a noise threshold, and aggregate totals per
 degree, split into time-invariant (input-only) and time-variant
-(state-history) parts.
+(state-history) parts.  Capacities are held as arrays: ``capacities``
+returns one float64 per term, in term order, and a ``CapacityProfile``
+keeps the term list, that array, a bool mask of the truncated terms and
+the per-degree totals.
 
 Conventions.  State row t is aligned with input u_t: the row was measured
 after the circuit consumed u_t, so the expansion's delay-1 factor refers
@@ -467,29 +470,16 @@ def _gram_schmidt(A: np.ndarray, prepend_constant: bool, floor: float,
                            _factor=("gram_schmidt", Q[:, first:k]))
 
 
-@dataclass
-class CapacityRecord:
-    """Capacity of one orthonormalized basis term."""
-
-    term: BasisTerm
-    capacity: float
-    truncated: bool = False
-
-    @property
-    def classification(self) -> str:
-        return "TIV" if self.term.is_time_invariant else "TV"
-
-
 def capacities(P: np.ndarray, ortho: Orthonormalized,
-               terms: Sequence[BasisTerm]) -> List[CapacityRecord]:
-    """C_i = ||P^T xi_i||^2 for each retained term; dropped terms get 0."""
+               terms: Sequence[BasisTerm]) -> np.ndarray:
+    """C_i = ||P^T xi_i||^2 for each term, in term order; dropped terms get 0."""
     if ortho.n_rows != P.shape[0]:
         raise ValueError("basis rows and state rows are misaligned")
     caps = np.zeros(len(terms))
     if ortho.kept:
         G = ortho.project(P)         # n_kept x r
         caps[ortho.kept] = np.sum(G * G, axis=1)
-    return [CapacityRecord(term=t, capacity=float(c)) for t, c in zip(terms, caps)]
+    return caps
 
 
 def chi2_threshold(T: int, r: int, p: float = 1e-4, sigma: float = 2.0) -> float:
@@ -524,24 +514,28 @@ def shuffle_surrogate_threshold(inputs: np.ndarray, input_offset: int,
         raise ValueError("need at least one surrogate")
     inputs = np.asarray(inputs, dtype=float)
     n_rows = P.shape[0]
-    eligible = [j for j, t in enumerate(terms) if t.input_order > 0]
+    eligible = np.array([t.input_order > 0 for t in terms], dtype=bool)
     worst = 0.0
     for _ in range(n_surrogates):
         shuffled = inputs[rng.permutation(len(inputs))]
         B = evaluate_bases(terms, shuffled, input_offset, xhat=xhat,
                            start_row=start_row, n_rows=n_rows,
                            input_range=input_range)
-        ortho = orthonormalize(B)
-        recs = capacities(P, ortho, terms)
-        worst = max(worst, max((recs[j].capacity for j in eligible), default=0.0))
+        caps = capacities(P, orthonormalize(B), terms)
+        worst = max(worst, caps[eligible].max(initial=0.0))
     return float(sigma * worst)
 
 
 @dataclass
 class CapacityProfile:
-    """Truncated capacity decomposition of one reservoir or target."""
+    """Truncated capacity decomposition of one reservoir or target.
 
-    records: List[CapacityRecord]
+    ``capacity[j]`` and ``truncated[j]`` belong to ``terms[j]``.
+    """
+
+    terms: Sequence[BasisTerm]
+    capacity: np.ndarray          # float64, one per term
+    truncated: np.ndarray         # bool, capacity < threshold
     rank: int
     threshold: float
     threshold_params: Dict[str, float] = field(default_factory=dict)
@@ -550,8 +544,7 @@ class CapacityProfile:
 
     @property
     def c_tot(self) -> float:
-        return sum(v for v in self.tiv_by_degree.values()) + \
-            sum(v for v in self.tv_by_degree.values())
+        return self.c_tiv_tot + self.c_tv_tot
 
     @property
     def c_tiv_tot(self) -> float:
@@ -565,34 +558,30 @@ class CapacityProfile:
         return sorted(set(self.tiv_by_degree) | set(self.tv_by_degree))
 
 
-def profile(records: Sequence[CapacityRecord], threshold: float, rank: int,
+def profile(terms: Sequence[BasisTerm], caps: np.ndarray, threshold: float, rank: int,
             threshold_params: Optional[Dict[str, float]] = None) -> CapacityProfile:
     """Apply threshold truncation and aggregate per input order d.
 
     A term contributes its capacity when C >= C_th and zero otherwise; the
     per-degree bin is the term's input order N_j, with time-invariant
-    (M_j = 0) and time-variant (M_j > 0) terms aggregated separately.
+    (M_j = 0) and time-variant (M_j > 0) terms aggregated separately.  Each
+    bin is a left-to-right sum in term order, and holds a degree only if one
+    of its terms survives.
     """
-    recs = []
+    caps = np.asarray(caps, dtype=float)
+    truncated = caps < threshold
     tiv: Dict[int, float] = {}
     tv: Dict[int, float] = {}
-    for rec in records:
-        truncated = rec.capacity < threshold
-        recs.append(replace(rec, truncated=truncated))
-        if truncated:
-            continue
-        d = rec.term.input_order
-        if rec.term.is_time_invariant:
-            tiv[d] = tiv.get(d, 0.0) + rec.capacity
-        else:
-            tv[d] = tv.get(d, 0.0) + rec.capacity
-    return CapacityProfile(records=recs, rank=rank, threshold=threshold,
+    values = caps.tolist()
+    for j in np.flatnonzero(~truncated).tolist():
+        term = terms[j]
+        bins = tiv if term.is_time_invariant else tv
+        d = term.input_order
+        bins[d] = bins.get(d, 0.0) + values[j]
+    return CapacityProfile(terms=terms, capacity=caps, truncated=truncated,
+                           rank=rank, threshold=threshold,
                            threshold_params=dict(threshold_params or {}),
                            tiv_by_degree=tiv, tv_by_degree=tv)
-
-
-def _empty_profile() -> CapacityProfile:
-    return CapacityProfile(records=[], rank=0, threshold=float("nan"))
 
 
 @dataclass
@@ -632,7 +621,7 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     X = states.data if isinstance(states, StateMatrix) else np.asarray(states, dtype=float)
     ns = normalize_states(X)
     if ns.rank == 0:
-        return _empty_profile()
+        return profile([], np.zeros(0), float("nan"), 0)
     lx = settings.max_state_delay
     family = settings.resolved_family()
     terms = enumerate_bases(settings.max_degree, settings.max_input_delay,
@@ -641,8 +630,7 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     T_eval = P_eval.shape[0]
     B = evaluate_bases(terms, inputs, input_offset, xhat=ns.P, start_row=lx,
                        n_rows=T_eval, input_range=settings.input_range)
-    ortho = orthonormalize(B)
-    recs = capacities(P_eval, ortho, terms)
+    caps = capacities(P_eval, orthonormalize(B), terms)
     if settings.threshold_mode == "surrogate":
         if surrogate_rng is None:
             raise ValueError("surrogate threshold needs an rng")
@@ -655,7 +643,7 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     else:
         th = chi2_threshold(T_eval, ns.rank, settings.p, settings.sigma)
         params = {"mode": "chi2", "p": settings.p, "sigma": settings.sigma}
-    return profile(recs, th, ns.rank, params)
+    return profile(terms, caps, th, ns.rank, params)
 
 
 def ipc_of_target(y: np.ndarray, inputs: np.ndarray, input_offset: int,

@@ -139,7 +139,7 @@ def test_criterion_04_zero_capacity_noise_classes():
                  PHASE_DAMPING, DEPOLARIZING):
         sm = _single_noise_states(kind, 0.1, inputs)
         prof = analyze_states(sm.data[washout:], inputs, washout, settings)
-        if prof.rank != 0 or prof.records:
+        if prof.rank != 0 or prof.terms:
             failures.append(f"{kind}: r={prof.rank}")
     for kind in (CNOT_BIAS, ENTANGLER_ONE_HOP, ENTANGLER_TWO_HOP):
         sm = _single_noise_states(kind, 0.1, inputs)
@@ -250,7 +250,7 @@ def narma2_ipc():
                             surrogate_sigma=1.2)
     prof = ipc_of_target(y, u, washout, settings,
                          surrogate_rng=stream(MASTER_SEED, "surrogate"))
-    caps = {r.term.label(): r.capacity for r in prof.records}
+    caps = {t.label(): c for t, c in zip(prof.terms, prof.capacity.tolist())}
     return {"caps": caps, "elapsed": time.perf_counter() - t0}
 
 
@@ -281,7 +281,7 @@ def test_criterion_09_completeness_oracle():
     settings = TipcSettings(max_degree=1, max_input_delay=30, max_state_delay=2,
                             input_range=(-1.0, 1.0), family="legendre")
     prof = analyze_states(x[100:], u, 100, settings)
-    total = sum(r.capacity for r in prof.records)
+    total = sum(prof.capacity.tolist())
     ok = prof.rank == 2 and abs(total - prof.rank) <= 0.01 * prof.rank \
         and prof.c_tv_tot == 0.0
     report("9 completeness oracle", ok,
@@ -301,7 +301,7 @@ def test_criterion_10_chi2_threshold_calibration():
     for _ in range(1000):
         xi = base[rng.permutation(T)]
         ortho = orthonormalize(xi[:, None].copy())
-        caps.append(capacities(ns.P, ortho, term)[0].capacity)
+        caps.append(capacities(ns.P, ortho, term)[0])
     empirical = float(np.quantile(caps, 0.99))
     theoretical = chi2_threshold(T, r, p=1e-2, sigma=1.0)
     rel = abs(empirical - theoretical) / theoretical
@@ -333,5 +333,5 @@ def test_ingest_profile_matches_in_memory_bit_level(tmp_path):
                               washout, settings)
     same = dataio.profile_to_dict(direct) == dataio.profile_to_dict(ingested)
     report("ingest bit-level equality", same and direct.rank >= 1,
-           f"rank {direct.rank}, records {len(direct.records)}, "
+           f"rank {direct.rank}, records {len(direct.terms)}, "
            f"profiles identical: {same}")

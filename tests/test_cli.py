@@ -58,6 +58,23 @@ class TestConfig:
         with pytest.raises(cfgmod.ConfigError, match=r"split\.washout \+ split\.train"):
             cfgmod.assemble({"split": {"washout": 0, "train": 0, "eval": 0}})
 
+    @pytest.mark.parametrize("tipc,key", [
+        ({"max_state_delay": -1}, "max_state_delay"),
+        ({"max_degree": 0}, "max_degree"),
+        ({"max_input_delay": 0}, "max_input_delay"),
+        ({"surrogates": 0}, "surrogates"),
+        ({"p": 0.0}, "p"),
+        ({"p": 1.0}, "p"),
+        ({"term_cap": 0}, "term_cap"),
+        ({"analysis_len": 2, "max_state_delay": 2}, "analysis_len"),
+    ], ids=["max_state_delay", "max_degree", "max_input_delay", "surrogates",
+            "p-zero", "p-one", "term_cap", "analysis_len"])
+    def test_bad_tipc_values_name_their_key(self, tipc, key):
+        # a negative max_state_delay used to shift every input factor by a
+        # row; the others failed deep in tipc, or wrote empty profiles
+        with pytest.raises(cfgmod.ConfigError, match=rf"tipc\.{key} "):
+            cfgmod.assemble({"tipc": tipc})
+
     def test_preset_paper_split(self):
         cfg = cfgmod.assemble(None, preset_name="paper")
         assert (cfg.split.washout, cfg.split.train, cfg.split.eval) == (9998, 20000, 20000)
@@ -336,6 +353,19 @@ class TestCommands:
         tiv, tv, rank = hw[1].split(",")[3:]
         assert (float(tiv), float(tv), int(rank)) == (
             prof["c_tiv_tot"], prof["c_tv_tot"], prof["rank"])
+
+    @pytest.mark.parametrize("rows", [15, 22])
+    def test_tipc_rejects_trace_shorter_than_delay_window(self, tmp_path, rng, rows):
+        # the default window is max_input_delay 20 + max_state_delay 2; a
+        # 15-row trace used to write a rank-0 profile after a numpy warning
+        ipath, spath = tmp_path / "u.csv", tmp_path / "x.csv"
+        dataio.write_inputs_csv(ipath, rng.uniform(0, 1, size=rows))
+        dataio.write_states_csv(spath, rng.normal(size=(rows, 2)))
+        cfg = _write_cfg(tmp_path, {"ingest": {"inputs": str(ipath),
+                                               "states": [str(spath)]}})
+        with pytest.raises(dataio.IngestError,
+                           match=rf"x\.csv: {rows} state rows.* needs at least 23"):
+            main(["tipc", "--config", cfg, "--out", str(tmp_path / "out")])
 
     def test_ipc_narma2(self, tmp_path):
         cfg = _write_cfg(tmp_path, {

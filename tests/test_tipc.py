@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import eval_legendre
 
 import qnr.tipc as tipc
+from qnr import dataio
 from qnr.reservoir import StateMatrix
 from qnr.tipc import (BasisTerm, TipcSettings, analyze_states, capacities,
                       chi2_threshold, enumerate_bases, evaluate_bases,
@@ -398,7 +399,7 @@ class TestHouseholderSolver:
         qr = tipc._householder(B, 1, 1e-8 * np.sqrt(n_rows))
         assert res.kept == qr.kept == kept == list(range(n_kept))
         assert res.dropped == qr.dropped == dropped
-        mine = [r.capacity for r in capacities(P, res, [BasisTerm()] * B.shape[1])]
+        mine = capacities(P, res, [BasisTerm()] * B.shape[1])
         assert np.abs(np.array(mine) - caps).max() <= 1e-12
         assert np.abs(np.sum(res.project(P) ** 2, axis=1)
                       - np.sum(qr.project(P) ** 2, axis=1)).max() <= 1e-12
@@ -417,7 +418,7 @@ class TestHouseholderSolver:
         assert 5 in dropped and len(kept) == B.shape[0] - 1
         assert res.kept == kept and res.dropped == dropped
         assert np.abs(res.Q - Q).max() <= 1e-12
-        mine = [r.capacity for r in capacities(P, res, [BasisTerm()] * B.shape[1])]
+        mine = capacities(P, res, [BasisTerm()] * B.shape[1])
         assert np.abs(np.array(mine) - caps).max() <= 1e-12
 
     @pytest.mark.parametrize("factor,fallback,kept",
@@ -533,8 +534,8 @@ class TestCapacities:
         ns = normalize_states(rng.normal(size=(300, 3)))
         terms = [BasisTerm(input_exponents=((1, 1),))]
         ortho = orthonormalize(ns.P[:, [1]].copy())
-        recs = capacities(ns.P, ortho, terms)
-        assert recs[0].capacity == pytest.approx(1.0, abs=1e-10)
+        caps = capacities(ns.P, ortho, terms)
+        assert caps[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_shuffled_bases_score_near_r_over_T(self, rng):
         T, r = 2000, 4
@@ -545,7 +546,7 @@ class TestCapacities:
             xi = base[rng.permutation(T)]
             ortho = orthonormalize(xi[:, None].copy())
             vals.append(capacities(ns.P, ortho,
-                                   [BasisTerm(input_exponents=((1, 1),))])[0].capacity)
+                                   [BasisTerm(input_exponents=((1, 1),))])[0])
         assert np.mean(vals) == pytest.approx(r / T, rel=0.15)
 
     def test_total_capacity_bounded_by_rank(self, rng):
@@ -553,8 +554,8 @@ class TestCapacities:
         B = rng.normal(size=(200, 40))
         ortho = orthonormalize(B)
         terms = [BasisTerm(input_exponents=((s + 1, 1),)) for s in range(40)]
-        recs = capacities(ns.P, ortho, terms)
-        assert sum(r.capacity for r in recs) <= ns.rank + 1e-6
+        caps = capacities(ns.P, ortho, terms)
+        assert sum(caps) <= ns.rank + 1e-6
 
     def test_misaligned_rows_rejected(self, rng):
         ns = normalize_states(rng.normal(size=(100, 2)))
@@ -600,27 +601,50 @@ class TestProfile:
         return tiv, tiv2, tv
 
     def test_truncation_and_aggregation(self):
-        from qnr.tipc import CapacityRecord
         tiv1, tiv2, tv = self._records()
-        recs = [CapacityRecord(tiv1, 0.5), CapacityRecord(tiv2, 0.001),
-                CapacityRecord(tv, 0.2)]
-        prof = profile(recs, threshold=0.01, rank=2)
+        prof = profile([tiv1, tiv2, tv], np.array([0.5, 0.001, 0.2]),
+                       threshold=0.01, rank=2)
         assert prof.tiv_by_degree == {1: 0.5}
         assert prof.tv_by_degree == {1: 0.2}
         assert prof.c_tot == pytest.approx(0.7)
-        assert prof.records[1].truncated
+        assert prof.truncated[1]
 
     def test_classification_matches_state_order(self):
-        from qnr.tipc import CapacityRecord
         tiv1, _, tv = self._records()
-        assert CapacityRecord(tiv1, 0.1).classification == "TIV"
-        assert CapacityRecord(tv, 0.1).classification == "TV"
+        prof = profile([tiv1, tv], np.array([0.1, 0.1]), threshold=0.0, rank=1)
+        records = dataio.profile_to_dict(prof)["records"]
+        assert [r["classification"] for r in records] == ["TIV", "TV"]
 
     def test_tv_bins_by_input_order(self):
-        from qnr.tipc import CapacityRecord
         pure_state = BasisTerm(state_exponents=((0, 1, 2),))
-        prof = profile([CapacityRecord(pure_state, 0.3)], threshold=0.0, rank=1)
+        prof = profile([pure_state], np.array([0.3]), threshold=0.0, rank=1)
         assert prof.tv_by_degree == {0: 0.3}  # N_j = 0 bin
+
+    def test_degree_totals_are_sequential_sums_in_term_order(self, rng):
+        # 1,000 TIV and 1,000 TV terms of input order 2, interleaved, on
+        # capacities spread over three decades; every degree-3 term is
+        # truncated
+        n = 1000
+        tiv = [BasisTerm(input_exponents=((s, 1), (s + 1, 1))) for s in range(1, n + 1)]
+        tv = [BasisTerm(input_exponents=((s, 1), (s + 1, 1)),
+                        state_exponents=((0, 1, 1),)) for s in range(1, n + 1)]
+        cubic = [BasisTerm(input_exponents=((s, 3),)) for s in range(1, 11)]
+        terms = [t for pair in zip(tiv, tv) for t in pair] + cubic
+        caps = np.concatenate([10.0 ** rng.uniform(-3.0, 0.0, 2 * n),
+                               np.full(len(cubic), 1e-4)])
+        threshold = 1e-2
+        prof = profile(terms, caps, threshold, rank=1)
+        for bins, parity in ((prof.tiv_by_degree, 0), (prof.tv_by_degree, 1)):
+            mine = caps[parity:2 * n:2]
+            expected = 0.0
+            for c in mine.tolist():
+                if c >= threshold:
+                    expected += c
+            assert bins[2] == expected
+            # the data tell a left-to-right sum from numpy's pairwise one
+            assert mine[mine >= threshold].sum() != expected
+        assert prof.degrees() == [2]
+        assert prof.truncated.tolist() == (caps < threshold).tolist()
 
 
 def _echo_states(rng, T, a=(0.5, 0.8), b=(1.0, 0.7)):
@@ -636,7 +660,8 @@ class TestAnalyzeStates:
     def test_zero_states_give_empty_profile(self, rng):
         settings = TipcSettings(max_degree=1, max_input_delay=2, input_range=(0, 1))
         prof = analyze_states(np.zeros((500, 4)), rng.uniform(0, 1, 600), 50, settings)
-        assert prof.rank == 0 and prof.c_tot == 0.0 and prof.records == []
+        assert prof.rank == 0 and prof.c_tot == 0.0 and prof.terms == []
+        assert prof.capacity.size == prof.truncated.size == 0
 
     def test_linear_echo_completeness(self, rng):
         # states are exact linear functions of delayed inputs: the capacity
@@ -647,11 +672,11 @@ class TestAnalyzeStates:
                                 family="legendre")
         prof = analyze_states(x, u, off, settings)
         assert prof.rank == 2
-        untruncated = sum(r.capacity for r in prof.records)
+        untruncated = sum(prof.capacity)
         assert untruncated == pytest.approx(2.0, rel=0.01)
         assert prof.c_tv_tot == 0.0
-        tv_mass = sum(r.capacity for r in prof.records
-                      if not r.term.is_time_invariant)
+        tv_mass = sum(c for t, c in zip(prof.terms, prof.capacity)
+                      if not t.is_time_invariant)
         assert tv_mass <= 0.02 * prof.rank
 
     def test_identity_state_hits_delay_zero_label(self, rng):
@@ -661,9 +686,9 @@ class TestAnalyzeStates:
                                 max_state_delay=0, input_range=(-1, 1),
                                 family="legendre")
         prof = analyze_states(x, u, 100, settings)
-        top = max(prof.records, key=lambda r: r.capacity)
-        assert top.term.label() == "P1(u[t])"
-        assert top.capacity == pytest.approx(1.0, abs=1e-8)
+        top = int(np.argmax(prof.capacity))
+        assert prof.terms[top].label() == "P1(u[t])"
+        assert prof.capacity[top] == pytest.approx(1.0, abs=1e-8)
 
     def test_shuffled_inputs_kill_tiv_capacity(self, rng):
         u, x, off = _echo_states(rng, 3000)
@@ -686,7 +711,7 @@ class TestAnalyzeStates:
             xi = base[rng.permutation(T)]
             ortho = orthonormalize(xi[:, None].copy())
             c = capacities(ns.P, ortho, [BasisTerm(input_exponents=((1, 1),))])[0]
-            exceed += c.capacity >= th
+            exceed += c >= th
         assert exceed <= 3 * p * n_terms + 1
 
 
@@ -706,11 +731,11 @@ class TestAnalyzeStates:
         terms = enumerate_bases(2, 6, 2, prof.rank, "legendre")
         (ortho,) = seen
         assert len(terms) > ortho.Q.shape[0]
-        assert len(prof.records) == len(terms)
-        assert [r.term for r in prof.records] == terms
+        assert len(prof.capacity) == len(prof.truncated) == len(terms)
+        assert prof.terms == terms
         assert len(ortho.kept) == ortho.Q.shape[0] - 1
-        assert all(prof.records[j].capacity == 0.0 for j in ortho.dropped)
-        assert sum(r.capacity for r in prof.records) <= prof.rank + 1e-9
+        assert all(prof.capacity[j] == 0.0 for j in ortho.dropped)
+        assert sum(prof.capacity) <= prof.rank + 1e-9
 
 class TestSurrogateThreshold:
     def test_deterministic_under_seed(self, rng):
@@ -732,15 +757,13 @@ class TestSurrogateThreshold:
         delayed = [BasisTerm(input_exponents=((s, 1),), family="legendre")
                    for s in range(2, 12)]
         B = evaluate_bases(delayed, u, 300, n_rows=2000)
-        true_caps = [r.capacity for r in
-                     capacities(ns.P, orthonormalize(B), delayed)]
+        true_caps = list(capacities(ns.P, orthonormalize(B), delayed))
         surr_caps = []
         srng = np.random.default_rng(17)
         for _ in range(20):
             us = u[srng.permutation(len(u))]
             Bs = evaluate_bases(delayed, us, 300, n_rows=2000)
-            surr_caps += [r.capacity for r in
-                          capacities(ns.P, orthonormalize(Bs), delayed)]
+            surr_caps += list(capacities(ns.P, orthonormalize(Bs), delayed))
         se = math.sqrt(np.var(true_caps) / len(true_caps)
                        + np.var(surr_caps) / len(surr_caps))
         assert abs(np.mean(true_caps) - np.mean(surr_caps)) <= 4 * se + 1e-6
@@ -774,11 +797,11 @@ class TestIpcOfTarget:
                                 input_range=(-1, 1), family="legendre")
         prof = ipc_of_target(y, u, 300, settings)
         assert prof.rank == 1
-        top = max(prof.records, key=lambda r: r.capacity)
-        assert top.term.label() == "P1(u[t-1])"
+        top = int(np.argmax(prof.capacity))
+        assert prof.terms[top].label() == "P1(u[t-1])"
         # earlier terms absorb O(1/T) sample correlations; the span is exact
-        assert top.capacity == pytest.approx(1.0, abs=0.02)
-        assert sum(r.capacity for r in prof.records) == pytest.approx(1.0, abs=1e-9)
+        assert prof.capacity[top] == pytest.approx(1.0, abs=0.02)
+        assert sum(prof.capacity) == pytest.approx(1.0, abs=1e-9)
 
     def test_squared_delay_task_is_even(self, rng):
         # u^2 = (2 P2 + P0)/3: after centering only the P2 term carries mass
@@ -787,10 +810,10 @@ class TestIpcOfTarget:
         settings = TipcSettings(max_degree=3, max_input_delay=3,
                                 input_range=(-1, 1), family="legendre")
         prof = ipc_of_target(y, u, 300, settings)
-        by_label = {r.term.label(): r.capacity for r in prof.records}
+        by_label = {t.label(): c for t, c in zip(prof.terms, prof.capacity)}
         assert by_label["P2(u[t-1])"] == pytest.approx(1.0, abs=0.02)
-        assert sum(r.capacity for r in prof.records) == pytest.approx(1.0, abs=1e-9)
-        odd = [r.capacity for r in prof.records if r.term.input_order % 2 == 1]
+        assert sum(prof.capacity) == pytest.approx(1.0, abs=1e-9)
+        odd = [c for t, c in zip(prof.terms, prof.capacity) if t.input_order % 2 == 1]
         assert max(odd) < prof.threshold
 
     def test_constant_target_rejected(self, rng):
