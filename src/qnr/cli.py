@@ -219,18 +219,22 @@ def cmd_tipc(cfg) -> int:
         runs = [(f"inst{i:04d}" if mask is None else f"m{mask:04d}", mask,
                  StateMatrix(sm.data[w:]), inputs, w)
                 for (i, mask, _), sm in zip(instances, _run_instances(cfg, instances, inputs))]
+    # analyse every run before writing: a run that fails (a window too short
+    # for its rank's chi2 threshold) leaves no partial output
+    analysed = [(name, mask,
+                 analyze_states(sm, inputs_used, offset, settings,
+                                surrogate_rng=stream(cfg.seed, "surrogate")),
+                 _per_qubit_rows(cfg, sm, inputs_used, offset, settings))
+                for name, mask, sm, inputs_used, offset in runs]
     summary = []
-    for name, mask, sm, inputs_used, offset in runs:
-        prof = analyze_states(sm, inputs_used, offset, settings,
-                              surrogate_rng=stream(cfg.seed, "surrogate"))
+    for name, mask, prof, per_qubit in analysed:
         pj = out / f"profile_{name}.json"
         pc = out / f"profile_{name}_degrees.csv"
         dataio.write_profile_json(pj, prof)
         dataio.write_profile_degrees_csv(pc, prof)
         artifacts += [pj, pc]
         pq = out / f"profile_{name}_per_qubit.csv"
-        dataio.write_csv(pq, ["qubit", "rank", "c_tiv_tot", "c_tv_tot", "c_tot"],
-                         _per_qubit_rows(cfg, sm, inputs_used, offset, settings))
+        dataio.write_csv(pq, ["qubit", "rank", "c_tiv_tot", "c_tv_tot", "c_tot"], per_qubit)
         artifacts.append(pq)
         summary.append((name, "" if mask is None else mask, prof.rank, prof.c_tiv_tot,
                         prof.c_tv_tot, prof.c_tot))

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .reservoir import StateMatrix
-from .tipc import CapacityProfile
+from .tipc import BasisTerm, CapacityProfile
 
 _FMT = "%.17g"
 
@@ -101,6 +102,29 @@ def read_trace(inputs_csv, states_csvs: Sequence) -> Tuple[np.ndarray, List[Stat
 # ---------------------------------------------------------------------------
 
 def profile_to_dict(prof: CapacityProfile) -> dict:
+    """The profile JSON as a dict; ``write_profile_json`` writes its text."""
+    head = _profile_head(prof)
+    head["records"] = [
+        {
+            "label": term.label(),
+            "family": term.family,
+            "input_exponents": [list(x) for x in term.input_exponents],
+            "state_exponents": [list(x) for x in term.state_exponents],
+            "input_order": term.input_order,
+            "state_order": term.state_order,
+            "classification": "TIV" if term.is_time_invariant else "TV",
+            "capacity": capacity,
+            "truncated": truncated,
+        }
+        # tolist: JSON takes Python floats and bools, not np.bool_
+        for term, capacity, truncated in zip(prof.terms, prof.capacity.tolist(),
+                                             prof.truncated.tolist())
+    ]
+    return head
+
+
+def _profile_head(prof: CapacityProfile) -> dict:
+    """Every field of ``profile_to_dict`` before ``records``."""
     return {
         "rank": prof.rank,
         "threshold": prof.threshold,
@@ -116,29 +140,48 @@ def profile_to_dict(prof: CapacityProfile) -> dict:
             }
             for d in prof.degrees()
         ],
-        "records": [
-            {
-                "label": term.label(),
-                "family": term.family,
-                "input_exponents": [list(x) for x in term.input_exponents],
-                "state_exponents": [list(x) for x in term.state_exponents],
-                "input_order": term.input_order,
-                "state_order": term.state_order,
-                "classification": "TIV" if term.is_time_invariant else "TV",
-                "capacity": capacity,
-                "truncated": truncated,
-            }
-            # tolist: JSON takes Python floats and bools, not np.bool_
-            for term, capacity, truncated in zip(prof.terms, prof.capacity.tolist(),
-                                                 prof.truncated.tolist())
-        ],
     }
 
 
+def _int_rows(rows) -> str:
+    """A record's list of int lists, laid out as ``json.dump(indent=2)`` does."""
+    if not rows:
+        return "[]"
+    items = ",\n".join("        [\n          " + ",\n          ".join(map(str, row))
+                       + "\n        ]" for row in rows)
+    return f"[\n{items}\n      ]"
+
+
+def _record_text(term: BasisTerm) -> str:
+    """The text of a term's record in the profile JSON, up to the value of
+    ``capacity``: the fields that depend on the term alone."""
+    return (f'    {{\n      "label": {encode_basestring_ascii(term.label())},\n'
+            f'      "family": {encode_basestring_ascii(term.family)},\n'
+            f'      "input_exponents": {_int_rows(term.input_exponents)},\n'
+            f'      "state_exponents": {_int_rows(term.state_exponents)},\n'
+            f'      "input_order": {term.input_order},\n'
+            f'      "state_order": {term.state_order},\n'
+            f'      "classification": "{"TIV" if term.is_time_invariant else "TV"}",\n'
+            '      "capacity": ')
+
+
 def write_profile_json(path, prof: CapacityProfile):
+    """Write ``json.dump(profile_to_dict(prof), fh, indent=2)`` and a newline.
+
+    The bytes are the same; only the records are formatted here, from each
+    term's text, its capacity and its truncation flag, since
+    ``json.dump`` with an indent runs the pure-Python encoder.
+    """
+    head = json.dumps(_profile_head(prof), indent=2)
+    # json writes finite floats as float.__repr__ does
+    fmt = float.__repr__ if np.isfinite(prof.capacity).all() else json.dumps
+    records = [f'{_record_text(term)}{fmt(capacity)},\n'
+               f'      "truncated": {"true" if truncated else "false"}\n    }}'
+               for term, capacity, truncated in zip(prof.terms, prof.capacity.tolist(),
+                                                    prof.truncated.tolist())]
+    body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
     with open(path, "w") as fh:
-        json.dump(profile_to_dict(prof), fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{head[:-2]},\n  "records": {body}\n}}\n')
 
 
 def write_profile_degrees_csv(path, prof: CapacityProfile):

@@ -24,15 +24,20 @@ any other basis, or one whose Gram factor fails its condition or pivot
 check, by one LAPACK Householder QR; and falls back to modified
 Gram-Schmidt when a QR pivot lies under twice the drop floor, so keep/drop
 decisions are Gram-Schmidt's.  ``capacities`` applies Q^T from the factor
-without forming Q.  scipy is imported only where it is called: every
-``qnr`` command imports this module, and ``train``, ``esp`` and ``simulate``
-never call scipy, whose import costs ~70 ms and ~18 MiB per process.
+without forming Q.  ``scipy.linalg`` is imported only where it is called:
+every ``qnr`` command imports this module, and ``train``, ``esp`` and
+``simulate`` never call it.  Its import costs 0.23-0.32 s and 22 MiB per
+process (2-core Xeon VM, scipy 1.17), mostly because scipy's array-API shim
+imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.  ``scipy.special``
+is not used: the Legendre polynomials and the chi-squared quantile are
+ported to numpy and ``math`` below.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -209,7 +214,6 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     lo, hi = input_range
     legendre = any(t.family == "legendre" for t in terms)
     if legendre:
-        from scipy.special import eval_legendre
         if inputs.min() < lo - 1e-12 or inputs.max() > hi + 1e-12:
             raise ValueError(
                 f"inputs outside declared range [{lo}, {hi}]: "
@@ -227,7 +231,7 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
             key = (s, e, term.family)
             if key not in factors:
                 seg_idx = input_offset + rows - s + 1
-                factors[key] = (eval_legendre(e, scaled[seg_idx])
+                factors[key] = (_legendre(e, scaled[seg_idx])
                                 if term.family == "legendre" else inputs[seg_idx] ** e)
             fs.append(factors[key])
         for k, s, e in term.state_exponents:
@@ -242,6 +246,53 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
         for f in fs[1:]:
             col *= f
     return out
+
+
+def _legendre(n: int, x: np.ndarray) -> np.ndarray:
+    """Legendre polynomial P_n(x) for n >= 1, as ``scipy.special.eval_legendre``
+    computes it for an integer degree.
+
+    The recurrence on d_k = P_k - P_{k-1} is bit-identical to scipy's.  For
+    |x| < 1e-5, where it loses precision, scipy sums the power series about
+    0; so does this, from the same leading coefficient, which is exact
+    except at n = 2, where scipy's beta(2, -1/2) rounds to the literal below.
+    That is bit-identical to scipy for n <= 6 and within 2e-16 above.
+    """
+    if n == 1:
+        return x.copy()
+    xm1 = x - 1.0
+    d, p, t = xm1.copy(), x.copy(), np.empty_like(x)
+    for k in range(1, n):
+        k = float(k)
+        # d = ((2k + 1)/(k + 1)) (x - 1) p + (k/(k + 1)) d, in scipy's order,
+        # in place: a temporary per operation costs more than the arithmetic
+        np.multiply((2.0 * k + 1.0) / (k + 1.0), xm1, out=t)
+        t *= p
+        d *= k / (k + 1.0)
+        d += t
+        p += d
+    small = np.abs(x) < 1e-5
+    if small.any():
+        xs = x[small]
+        a = n // 2
+        sign = 1.0 if a % 2 == 0 else -1.0
+        if n % 2 == 0:
+            # beta(a + 1, -1/2) = -2 4^a (a!)^2 / (2a)!
+            beta = (-3.9999999999999996 if a == 1 else
+                    -2 * 4 ** a * math.factorial(a) ** 2 / math.factorial(2 * a))
+            d = np.full_like(xs, sign * (-2.0 / beta))
+        else:
+            # beta(a + 1, 1/2) = 4^(a+1) a! (a+1)! / (2a+2)!
+            beta = (4 ** (a + 1) * math.factorial(a) * math.factorial(a + 1)
+                    / math.factorial(2 * a + 2))
+            d = sign * (2.0 * xs / beta)
+        ps = np.zeros_like(xs)
+        for k in range(a + 1):
+            ps += d
+            d *= -2.0 * xs ** 2 * (a - k) * (2 * n + 1 - 2 * a + 2 * k)
+            d /= (n + 1 - 2 * a + 2 * k) * (n + 2 - 2 * a + 2 * k)
+        p[small] = ps
+    return p
 
 
 # The Gram/Cholesky solver squares the basis's condition number, so it is
@@ -486,12 +537,54 @@ def chi2_threshold(T: int, r: int, p: float = 1e-4, sigma: float = 2.0) -> float
     """sigma times the top-p quantile of the chi^2(r)/T capacity error model."""
     if T <= 0:
         raise ValueError("T must be positive")
-    if r < 1:
-        raise ValueError("threshold undefined for rank 0")
+    if r != int(r) or r < 1:
+        raise ValueError(f"threshold needs an integer rank >= 1, got {r!r}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    from scipy.special import chdtri
-    return float(sigma * chdtri(r, p) / T)
+    return sigma * _chi2_quantile(p, int(r)) / T
+
+
+def _chi2_sf(x: float, r: int) -> float:
+    """P(chi^2(r) > x) for an integer r >= 1, in closed form: with h = x/2,
+    e^-h sum_{k < r/2} h^k / k! for even r, and erfc(sqrt(h)) +
+    e^-h sqrt(2x/pi) (1 + x/3 + x^2/15 + ...), (r - 1)/2 terms, for odd r.
+
+    The sum is rescaled by 2^-900 whenever it passes 1e300, so that large
+    ranks neither overflow it nor underflow e^-h.
+    """
+    h = 0.5 * x
+    even = r % 2 == 0
+    head, weight = (0.0, 1.0) if even else (math.erfc(math.sqrt(h)),
+                                            math.sqrt(2.0 * x / math.pi))
+    series, term, shift = 0.0, 1.0, 0
+    for k in range(1, r // 2 + 1):
+        series += term
+        term *= h / k if even else x / (2 * k + 1)
+        if series > 1e300:
+            series, term, shift = series * 2.0 ** -900, term * 2.0 ** -900, shift + 900
+    return head + math.exp(shift * math.log(2.0) - h) * weight * series
+
+
+def _chi2_quantile(p: float, r: int) -> float:
+    """The x with P(chi^2(r) > x) = p: bisection on ``_chi2_sf`` until the
+    bracket stops shrinking (at most 54 steps for r = 1-64, 1e-6 <= p <= 0.5).
+
+    For r = 1-64 and 1e-6 <= p <= 0.5 it is within 3.4e-16 relative of the
+    40-digit root (``scipy.special.chdtri`` errs by up to 1.8e-14 there).
+    Towards p = 1 the survival function rounds near 1 and the root loses
+    digits (1.1e-13 relative at p = 0.999).
+    """
+    lo, hi = 0.0, float(r)
+    while _chi2_sf(hi, r) > p:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if _chi2_sf(mid, r) > p:
+            lo = mid
+        else:
+            hi = mid
 
 
 def shuffle_surrogate_threshold(inputs: np.ndarray, input_offset: int,
@@ -518,10 +611,10 @@ def shuffle_surrogate_threshold(inputs: np.ndarray, input_offset: int,
     worst = 0.0
     for _ in range(n_surrogates):
         shuffled = inputs[rng.permutation(len(inputs))]
-        B = evaluate_bases(terms, shuffled, input_offset, xhat=xhat,
-                           start_row=start_row, n_rows=n_rows,
-                           input_range=input_range)
-        caps = capacities(P, orthonormalize(B), terms)
+        # no local holds the basis: it is freed before the next one is built
+        caps = capacities(P, orthonormalize(evaluate_bases(
+            terms, shuffled, input_offset, xhat=xhat, start_row=start_row,
+            n_rows=n_rows, input_range=input_range)), terms)
         worst = max(worst, caps[eligible].max(initial=0.0))
     return float(sigma * worst)
 
@@ -548,11 +641,11 @@ class CapacityProfile:
 
     @property
     def c_tiv_tot(self) -> float:
-        return sum(self.tiv_by_degree.values())
+        return sum(self.tiv_by_degree.values(), 0.0)
 
     @property
     def c_tv_tot(self) -> float:
-        return sum(self.tv_by_degree.values())
+        return sum(self.tv_by_degree.values(), 0.0)
 
     def degrees(self) -> List[int]:
         return sorted(set(self.tiv_by_degree) | set(self.tv_by_degree))
@@ -623,26 +716,37 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     if ns.rank == 0:
         return profile([], np.zeros(0), float("nan"), 0)
     lx = settings.max_state_delay
+    T_eval = X.shape[0] - lx
+    if settings.threshold_mode == "surrogate":
+        if surrogate_rng is None:
+            raise ValueError("surrogate threshold needs an rng")
+        params = {"mode": "surrogate", "n_surrogates": settings.n_surrogates,
+                  "sigma": settings.surrogate_sigma}
+    else:
+        params = {"mode": "chi2", "p": settings.p, "sigma": settings.sigma}
+        th = chi2_threshold(T_eval, ns.rank, settings.p, settings.sigma)
+        # no capacity exceeds 1 (a unit vector's squared projection)
+        if th > 1.0:
+            need = math.ceil(chi2_threshold(1, ns.rank, settings.p, settings.sigma))
+            raise ValueError(
+                f"{T_eval} analysed rows are too few for the chi2 threshold at "
+                f"rank {ns.rank}: it is {th:.4g}, above the largest possible "
+                f"capacity 1, so every term would be truncated; the threshold "
+                f"needs at least {need} rows (after {lx} state-history rows). "
+                "Raise tipc.analysis_len or analyse a longer trace")
     family = settings.resolved_family()
     terms = enumerate_bases(settings.max_degree, settings.max_input_delay,
                             lx, ns.rank, family, settings.term_cap)
     P_eval = normalize_states(ns.P[lx:], 1e-10, abs_floor=1e-12).P if lx > 0 else ns.P
-    T_eval = P_eval.shape[0]
-    B = evaluate_bases(terms, inputs, input_offset, xhat=ns.P, start_row=lx,
-                       n_rows=T_eval, input_range=settings.input_range)
-    caps = capacities(P_eval, orthonormalize(B), terms)
-    if settings.threshold_mode == "surrogate":
-        if surrogate_rng is None:
-            raise ValueError("surrogate threshold needs an rng")
+    # no local holds the basis: it is freed once ``capacities`` has read it
+    caps = capacities(P_eval, orthonormalize(evaluate_bases(
+        terms, inputs, input_offset, xhat=ns.P, start_row=lx, n_rows=T_eval,
+        input_range=settings.input_range)), terms)
+    if params["mode"] == "surrogate":
         th = shuffle_surrogate_threshold(
             inputs, input_offset, terms, P_eval, surrogate_rng, xhat=ns.P,
             start_row=lx, input_range=settings.input_range,
             n_surrogates=settings.n_surrogates, sigma=settings.surrogate_sigma)
-        params = {"mode": "surrogate", "n_surrogates": settings.n_surrogates,
-                  "sigma": settings.surrogate_sigma}
-    else:
-        th = chi2_threshold(T_eval, ns.rank, settings.p, settings.sigma)
-        params = {"mode": "chi2", "p": settings.p, "sigma": settings.sigma}
     return profile(terms, caps, th, ns.rank, params)
 
 

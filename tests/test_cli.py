@@ -367,6 +367,27 @@ class TestCommands:
                            match=rf"x\.csv: {rows} state rows.* needs at least 23"):
             main(["tipc", "--config", cfg, "--out", str(tmp_path / "out")])
 
+    def test_tipc_rejects_window_too_short_for_chi2_threshold(self, tmp_path):
+        # 8 analysed rows put the rank-1 threshold at 30.27 / 8 = 3.78; the
+        # profile used to be written with every capacity truncated
+        cfg = _write_cfg(tmp_path, {"reservoir": {"masks": [1]},
+                                    "tipc": {"analysis_len": 10}})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"8 analysed rows .* rank 1: it is 3\.78.*"
+                           r"at least 31 rows .*tipc\.analysis_len"):
+            main(["tipc", "--config", cfg, "--out", str(out)])
+        assert not list(out.glob("profile_*"))
+
+    def test_tipc_short_window_for_one_mask_writes_nothing(self, tmp_path):
+        # 38 analysed rows suffice for mask 1 (rank 1, 31 rows) but not for
+        # mask 257 (rank 4, 48 rows); mask 1's files used to be written
+        cfg = _write_cfg(tmp_path, {"reservoir": {"masks": [1, 257]},
+                                    "tipc": {"analysis_len": 40}})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"38 analysed rows .* rank 4.*at least 48 rows"):
+            main(["tipc", "--config", cfg, "--out", str(out)])
+        assert list(out.iterdir()) == []
+
     def test_ipc_narma2(self, tmp_path):
         cfg = _write_cfg(tmp_path, {
             "input": {"kind": "uniform", "low": -1.0, "high": 1.0},

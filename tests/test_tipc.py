@@ -1,17 +1,19 @@
 """Capacity-analysis tests: SVD normalization, basis machinery, thresholds."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import eval_legendre
+from scipy.special import chdtri, eval_legendre
 
 import qnr.tipc as tipc
 from qnr import dataio
@@ -247,6 +249,18 @@ class TestEvaluateBases:
         assert np.allclose(out[:, 0], xhat[0:10, 1])
 
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_legendre_port_matches_scipy(self, rng, n):
+        x = np.concatenate([rng.uniform(-1, 1, 200_000), np.linspace(-1, 1, 20_001)])
+        outer = x[np.abs(x) >= 1e-5]
+        assert np.array_equal(tipc._legendre(n, outer), eval_legendre(n, outer))
+        # scipy's power series about 0: the same sum from the same start
+        inner = np.concatenate([rng.uniform(-1e-5, 1e-5, 20_000), [0.0, 5e-324]])
+        mine, ref = tipc._legendre(n, inner), eval_legendre(n, inner)
+        if n <= 6:
+            assert np.array_equal(mine, ref)
+        assert np.abs(mine - ref).max() <= 2e-16
+
     @pytest.mark.parametrize("family", ["monomial", "legendre"])
     def test_matches_per_factor_reference(self, rng, family):
         u, x, off = _echo_states(rng, 60)
@@ -449,6 +463,32 @@ class TestHouseholderSolver:
         assert out.stdout.strip() == "[]"
 
 
+    def test_capacity_commands_leave_scipy_special_out(self, tmp_path):
+        # the Legendre factors and the chi2 quantile are ported from it
+        src = os.path.dirname(os.path.dirname(tipc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        tipc_cfg = {"reservoir": {"instances": 1, "masks": [1]},
+                    "tipc": {"washout": 30, "analysis_len": 200, "max_degree": 2,
+                             "max_input_delay": 3, "max_state_delay": 1}}
+        ipc_cfg = {"input": {"low": -1.0, "high": 1.0},
+                   "tipc": {"washout": 30, "analysis_len": 300, "max_degree": 2,
+                            "max_input_delay": 3}}
+        for name, cfg in (("tipc", tipc_cfg), ("ipc", ipc_cfg)):
+            (tmp_path / f"{name}.yaml").write_text(json.dumps(cfg))
+        script = (
+            "import sys; from qnr import cli\n"
+            "for name in ('tipc', 'ipc'):\n"
+            f"    cli.main([name, '--config', {str(tmp_path)!r} + f'/{{name}}.yaml',\n"
+            f"              '--out', {str(tmp_path)!r} + f'/out_{{name}}'])\n"
+            "print([m for m in sys.modules if m.startswith('scipy.special')])\n")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+        profile_json = json.loads((tmp_path / "out_ipc" / "ipc_profile.json").read_text())
+        assert profile_json["records"][0]["family"] == "legendre"
+        assert (tmp_path / "out_tipc" / "profile_m0001.json").exists()
+
+
 class TestCholeskySolver:
     @pytest.mark.parametrize("factor,solver", [(0.8, "cholesky"), (1.25, "householder")])
     def test_condition_bound_edge(self, rng, solvers, factor, solver):
@@ -592,6 +632,20 @@ class TestChi2Threshold:
         with pytest.raises(ValueError):
             chi2_threshold(100, 0)
 
+    @pytest.mark.parametrize("r", [-1, 0.5, 1.5, 2.25])
+    def test_non_integer_or_small_rank_rejected(self, r):
+        with pytest.raises(ValueError, match="integer rank >= 1"):
+            chi2_threshold(100, r)
+
+    def test_matches_chdtri(self):
+        # chdtri itself errs by up to 1.8e-14 between these decades (against
+        # a 40-digit root), so the grid is the decades
+        for r in range(1, 65):
+            for p in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5):
+                ref = float(chdtri(r, p))
+                assert chi2_threshold(1, r, p=p, sigma=1.0) == pytest.approx(
+                    ref, rel=2e-15, abs=0.0), (r, p)
+
 
 class TestProfile:
     def _records(self):
@@ -656,12 +710,80 @@ def _echo_states(rng, T, a=(0.5, 0.8), b=(1.0, 0.7)):
     return u, x[100:], 100
 
 
+def _reference_profile_bytes(path, prof):
+    with open(path, "w") as fh:
+        json.dump(dataio.profile_to_dict(prof), fh, indent=2)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+class TestProfileJson:
+    def _check(self, prof, tmp_path):
+        dataio.write_profile_json(tmp_path / "fast.json", prof)
+        assert (tmp_path / "fast.json").read_bytes() == \
+            _reference_profile_bytes(tmp_path / "ref.json", prof)
+
+    def test_rank_four_chi2_profile_with_mixed_truncation(self, rng, tmp_path):
+        u, x, off = _echo_states(rng, 400)
+        states = np.column_stack([x, x[:, 0] ** 2, x[:, 0] * x[:, 1]])
+        settings = TipcSettings(max_degree=2, max_input_delay=4, max_state_delay=1,
+                                input_range=(-1, 1), family="legendre")
+        prof = analyze_states(states, u, off, settings)
+        assert prof.rank == 4 and prof.threshold_params["mode"] == "chi2"
+        assert 0 < prof.truncated.sum() < len(prof.terms)
+        assert any(t.state_exponents for t in prof.terms)
+        self._check(prof, tmp_path)
+
+    def test_surrogate_profile_with_int_param(self, rng, tmp_path):
+        u, x, off = _echo_states(rng, 300)
+        settings = TipcSettings(max_degree=2, max_input_delay=3, max_state_delay=1,
+                                input_range=(-1, 1), family="monomial",
+                                threshold_mode="surrogate", n_surrogates=2)
+        prof = analyze_states(x, u, off, settings, surrogate_rng=np.random.default_rng(4))
+        assert prof.threshold_params["n_surrogates"] == 2
+        assert any("^2" in t.label() for t in prof.terms)
+        self._check(prof, tmp_path)
+
+    def test_rank_zero_profile(self, tmp_path):
+        prof = profile([], np.zeros(0), float("nan"), 0)
+        assert prof.degrees() == []
+        self._check(prof, tmp_path)
+        assert '"threshold": NaN' in (tmp_path / "fast.json").read_text()
+
+
 class TestAnalyzeStates:
-    def test_zero_states_give_empty_profile(self, rng):
+    def test_zero_states_give_empty_profile(self, rng, tmp_path):
         settings = TipcSettings(max_degree=1, max_input_delay=2, input_range=(0, 1))
         prof = analyze_states(np.zeros((500, 4)), rng.uniform(0, 1, 600), 50, settings)
         assert prof.rank == 0 and prof.c_tot == 0.0 and prof.terms == []
         assert prof.capacity.size == prof.truncated.size == 0
+        # the totals are floats: the files read 0.0, not 0
+        dataio.write_profile_json(tmp_path / "p.json", prof)
+        text = (tmp_path / "p.json").read_text()
+        for key in ("c_tot", "c_tiv_tot", "c_tv_tot"):
+            assert f'"{key}": 0.0,' in text
+        assert json.loads(text)["records"] == []
+        dataio.write_profile_degrees_csv(tmp_path / "d.csv", prof)
+        assert (tmp_path / "d.csv").read_text() == "degree,tiv_total,tv_total\n"
+        dataio.write_csv(tmp_path / "q.csv", ["rank", "c_tiv_tot", "c_tv_tot", "c_tot"],
+                         [(prof.rank, prof.c_tiv_tot, prof.c_tv_tot, prof.c_tot)])
+        assert (tmp_path / "q.csv").read_text().splitlines()[1] == "0,0.0,0.0,0.0"
+
+    @pytest.mark.parametrize("n_cols,lx,rows,need", [(1, 0, 30, 31), (1, 2, 32, 31),
+                                                      (4, 0, 47, 48)])
+    def test_chi2_window_too_short_for_its_threshold(self, rng, n_cols, lx, rows, need):
+        # sigma * chdtri(r, 1e-4) is 30.27 at rank 1 and 47.02 at rank 4: one
+        # row fewer puts the threshold above 1, the largest capacity
+        x = rng.normal(size=(rows, n_cols))
+        u = rng.uniform(-1, 1, rows + 10)
+        settings = TipcSettings(max_degree=1, max_input_delay=3, max_state_delay=lx,
+                                input_range=(-1, 1))
+        with pytest.raises(ValueError, match=rf"{rows - lx} analysed rows .* rank "
+                           rf"{n_cols}: it is 1\.0\d+, .* at least {need} rows "
+                           rf"\(after {lx} state-history rows\).*tipc\.analysis_len"):
+            analyze_states(x, u, 10, settings)
+        prof = analyze_states(rng.normal(size=(rows + 1, n_cols)), u, 9, settings)
+        assert prof.rank == n_cols and prof.threshold <= 1.0
 
     def test_linear_echo_completeness(self, rng):
         # states are exact linear functions of delayed inputs: the capacity
@@ -724,9 +846,10 @@ class TestAnalyzeStates:
 
         monkeypatch.setattr(tipc, "orthonormalize", spy)
         u, x, off = _echo_states(rng, 30)
+        # p = 1e-2 keeps the rank-2 chi2 threshold (18.4 / 28) under 1
         settings = TipcSettings(max_degree=2, max_input_delay=6,
                                 max_state_delay=2, input_range=(-1, 1),
-                                family="legendre")
+                                family="legendre", p=1e-2)
         prof = analyze_states(x, u, off, settings)
         terms = enumerate_bases(2, 6, 2, prof.rank, "legendre")
         (ortho,) = seen
@@ -780,6 +903,27 @@ class TestSurrogateMode:
                               surrogate_rng=np.random.default_rng(3))
         assert prof.threshold_params["mode"] == "surrogate"
         assert prof.c_tiv_tot > 0.5  # the echo structure survives thresholding
+
+    def test_one_basis_alive_at_a_time(self, rng, monkeypatch):
+        # each basis is freed once its capacities are read, before the next
+        # surrogate's basis is evaluated
+        alive = []
+        evaluate = tipc.evaluate_bases
+
+        def spy(*args, **kwargs):
+            assert all(ref() is None for ref in alive), len(alive)
+            basis = evaluate(*args, **kwargs)
+            alive.append(weakref.ref(basis))
+            return basis
+
+        monkeypatch.setattr(tipc, "evaluate_bases", spy)
+        u, x, off = _echo_states(rng, 600)
+        settings = TipcSettings(max_degree=2, max_input_delay=4, max_state_delay=1,
+                                input_range=(-1, 1), family="legendre",
+                                threshold_mode="surrogate", n_surrogates=3)
+        analyze_states(x, u, off, settings, surrogate_rng=np.random.default_rng(3))
+        assert len(alive) == 4
+        assert all(ref() is None for ref in alive)
 
     def test_surrogate_mode_requires_rng(self, rng):
         u, x, off = _echo_states(rng, 400)
