@@ -160,6 +160,10 @@ class TipcSpec:
             raise ConfigError("tipc.max_state_delay must be >= 0")
         if not 0.0 < self.p < 1.0:
             raise ConfigError("tipc.p must be in (0, 1)")
+        # a threshold <= 0 would keep every term, noise included
+        for key in ("sigma", "surrogate_sigma"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f"tipc.{key} must be > 0")
         if self.analysis_len <= self.max_state_delay:
             raise ConfigError("tipc.analysis_len must exceed tipc.max_state_delay")
         if self.washout < self.max_input_delay:

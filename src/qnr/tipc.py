@@ -18,19 +18,20 @@ column-centered before the SVD and every basis is orthogonalized against
 the constant, which is what makes the chi-squared error model for the
 capacities of uninformative terms apply.
 
-Solver.  ``orthonormalize`` factors a tall, well-conditioned basis by
-Cholesky of its Gram matrix, which reads the column-major basis in place;
-any other basis, or one whose Gram factor fails its condition or pivot
-check, by one LAPACK Householder QR; and falls back to modified
-Gram-Schmidt when a QR pivot lies under twice the drop floor, so keep/drop
-decisions are Gram-Schmidt's.  ``capacities`` applies Q^T from the factor
-without forming Q.  ``scipy.linalg`` is imported only where it is called:
-every ``qnr`` command imports this module, and ``train``, ``esp`` and
-``simulate`` never call it.  Its import costs 0.23-0.32 s and 22 MiB per
-process (2-core Xeon VM, scipy 1.17), mostly because scipy's array-API shim
-imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.  ``scipy.special``
-is not used: the Legendre polynomials and the chi-squared quantile are
-ported to numpy and ``math`` below.
+Solver.  ``orthonormalize`` takes only the basis: the constant always comes
+first and the drop floor is ``_DROP_TOL``.  It factors a tall,
+well-conditioned basis by Cholesky of its Gram matrix, which reads the
+column-major basis in place; any other basis, or one whose Gram factor
+fails its condition or pivot check, by one LAPACK Householder QR; and falls
+back to modified Gram-Schmidt when a QR pivot lies under twice the drop
+floor, so keep/drop decisions are Gram-Schmidt's.  Q is never formed:
+``capacities`` applies Q^T from the factor.  ``scipy.linalg`` is imported
+only where it is called: every ``qnr`` command imports this module, and
+``train``, ``esp`` and ``simulate`` never call it.  Its import costs
+0.23-0.32 s and 22 MiB per process (2-core Xeon VM, scipy 1.17), mostly
+because scipy's array-API shim imports ``numpy.f2py``, ``numpy.testing``
+and ``numpy.ma``.  ``scipy.special`` is not used: the Legendre polynomials
+and the chi-squared quantile are ported to numpy and ``math`` below.
 """
 
 from __future__ import annotations
@@ -198,10 +199,11 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     ``inputs[input_offset + i]`` is the input consumed by state row i, so the
     expansion delay-s factor of row i reads ``inputs[input_offset + i - s + 1]``.
     Legendre input factors are evaluated after affinely mapping the declared
-    input range onto [-1, 1]; state factors read raw powers of ``xhat``.
-    Each distinct factor is evaluated once per call and shared by the terms
-    that contain it.  The result is column-major, so each term's column is
-    contiguous for the solvers of ``orthonormalize``.
+    input range onto [-1, 1]; state factors read raw powers of ``xhat``, the
+    delay-s one of row i at ``xhat[i - s]``, so no state delay may exceed
+    ``start_row``.  Each distinct factor is evaluated once per call and shared
+    by the terms that contain it.  The result is column-major, so each term's
+    column is contiguous for the solvers of ``orthonormalize``.
     """
     inputs = np.asarray(inputs, dtype=float)
     if xhat is not None and n_rows is None:
@@ -239,6 +241,10 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
                 raise ValueError("state-history term without normalized states")
             key = (k, s, e)
             if key not in factors:
+                if s > start_row:
+                    raise ValueError(
+                        f"state-history delay {s} exceeds start_row {start_row}: "
+                        "not enough state history for the requested delays")
                 factors[key] = xhat[rows - s, k] ** e
             fs.append(factors[key])
         col = out[:, j]
@@ -295,6 +301,11 @@ def _legendre(n: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
+# A column is dropped when its component orthogonal to the constant and the
+# kept columns has norm below this times sqrt(T).
+_DROP_TOL = 1e-8
+# Columns per matrix-product block of the Gram-Schmidt solver.
+_GS_BLOCK = 64
 # The Gram/Cholesky solver squares the basis's condition number, so it is
 # taken only while the condition estimate of its column-equilibrated factor
 # is at most this: eps * 64**2 = 9.1e-13.
@@ -312,41 +323,19 @@ class Orthonormalized:
 
     ``kept`` and ``dropped`` index the basis columns.  The kept vectors
     (constant excluded) are held as the factor of the solver that took the
-    basis: ``("cholesky", A, R, first)``, the basis A itself and the upper
-    triangular R of [constant | A] = Q R; ``("householder", F, tau, first)``,
+    basis: ``("cholesky", A, R)``, the basis A itself and the upper
+    triangular R of [constant | A] = Q R; ``("householder", F, tau)``,
     LAPACK's QR of [constant | kept columns]; or ``("gram_schmidt", Q)``.
-    ``first`` counts the constant columns.  ``Q`` is built from the first two
-    on first access, with Gram-Schmidt's column signs; only tests read it.
+    ``project`` is the one way to read them.
     """
 
     kept: List[int]
     dropped: List[int]
     _factor: tuple = field(repr=False)
-    _Q: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_rows(self) -> int:
         return self._factor[1].shape[0]
-
-    @property
-    def Q(self) -> np.ndarray:
-        """T' x n_kept, orthonormal columns (constant excluded)."""
-        kind, *factor = self._factor
-        if kind == "gram_schmidt":
-            return factor[0]
-        if self._Q is None:
-            from scipy.linalg import lapack
-            if kind == "householder":
-                F, tau, first = factor
-                q, _, _ = lapack.dorgqr(F, tau)
-                self._Q = q[:, first:] * np.copysign(1.0, np.diagonal(F)[first:])
-            else:
-                # Q^T = R^-T F^T; Cholesky's diagonal is positive, as
-                # Gram-Schmidt's norms are
-                A, R, first = factor
-                qt, _ = lapack.dtrtrs(R, _with_constant(A, first).T, trans=1)
-                self._Q = qt[first:].T
-        return self._Q
 
     def project(self, P: np.ndarray) -> np.ndarray:
         """Q^T P: coefficients of P's columns on the kept vectors (n_kept x r)."""
@@ -355,28 +344,27 @@ class Orthonormalized:
             return factor[0].T @ P
         from scipy.linalg import lapack
         if kind == "householder":
-            F, tau, first = factor
+            F, tau = factor
             lwork = int(lapack.dormqr("L", "T", F, tau, P, -1)[1][0])
             QtP, _, _ = lapack.dormqr("L", "T", F, tau, P, lwork)
-            return QtP[first:F.shape[1]]
+            return QtP[1:F.shape[1]]
         # R^-T F^T P, with F^T P from P's column sums and A^T P
-        A, R, first = factor
+        A, R = factor
         FtP = np.empty((R.shape[0], P.shape[1]), order="F")
-        FtP[:first] = P.sum(axis=0) / np.sqrt(A.shape[0])
-        FtP[first:] = A.T @ P
+        FtP[0] = P.sum(axis=0) / np.sqrt(A.shape[0])
+        FtP[1:] = A.T @ P
         QtP, _ = lapack.dtrtrs(R, FtP, trans=1, overwrite_b=1)
-        return QtP[first:]
+        return QtP[1:]
 
 
-def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
-                   drop_tol: float = 1e-8, block: int = 64) -> Orthonormalized:
-    """Sequential orthonormalization of the columns.
+def orthonormalize(basis: np.ndarray) -> Orthonormalized:
+    """Sequential orthonormalization of the columns after the constant.
 
     A column is dropped as linearly dependent when its component orthogonal
-    to the constant (when prepended) and to every earlier kept column has
-    norm below drop_tol * sqrt(T); once T vectors are kept (the constant
-    included) they span R^T and every later column is dropped.  The
-    constant centers every retained basis but is not reported.
+    to the constant and to every earlier kept column has norm below
+    ``_DROP_TOL * sqrt(T)``; once T vectors are kept (the constant included)
+    they span R^T and every later column is dropped.  The constant centers
+    every retained basis but is not reported.
 
     Three solvers are tried in turn; the first whose checks pass takes the
     basis:
@@ -391,7 +379,7 @@ def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
     2. LAPACK Householder QR of the constant and the leading min(B, T - 1)
        columns.  It passes when every |R_jj| (constant excluded) is at
        least twice the floor; those columns are kept and the rest dropped.
-    3. Modified Gram-Schmidt on the whole basis (``block`` columns per
+    3. Modified Gram-Schmidt on the whole basis (``_GS_BLOCK`` columns per
        matrix product, one re-orthogonalization pass), which applies the
        drop rule column by column.
 
@@ -401,25 +389,14 @@ def orthonormalize(basis: np.ndarray, prepend_constant: bool = True,
     conditioning to ~1e-12 relative.
     """
     A = np.asarray(basis, dtype=float)
-    T, B = A.shape
+    T, _ = A.shape
     if T == 0:
         raise ValueError(f"basis has no rows (shape {A.shape})")
-    floor = drop_tol * np.sqrt(T)
-    first = int(prepend_constant)
-    return (_cholesky(A, first, floor) or _householder(A, first, floor)
-            or _gram_schmidt(A, prepend_constant, floor, block))
+    floor = _DROP_TOL * np.sqrt(T)
+    return _cholesky(A, floor) or _householder(A, floor) or _gram_schmidt(A, floor)
 
 
-def _with_constant(A: np.ndarray, first: int) -> np.ndarray:
-    """Column-major copy of A after ``first`` (0 or 1) constant columns 1/sqrt(T)."""
-    T = A.shape[0]
-    F = np.empty((T, first + A.shape[1]), order="F")
-    F[:, :first] = 1.0 / np.sqrt(T)
-    F[:, first:] = A
-    return F
-
-
-def _cholesky(A: np.ndarray, first: int, floor: float) -> Optional[Orthonormalized]:
+def _cholesky(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
     """Solver 1 of ``orthonormalize``, or None where its gate fails.
 
     The Gram matrix of [constant | A] is A^T A from dsyrk, which reads a
@@ -434,44 +411,44 @@ def _cholesky(A: np.ndarray, first: int, floor: float) -> Optional[Orthonormaliz
         return None
     from scipy.linalg import blas, lapack
     a, trans = (A, 1) if A.flags.f_contiguous else (A.T, 0)
-    G = np.zeros((first + B, first + B), order="F")
-    G[first:, first:] = blas.dsyrk(1.0, a, trans=trans)
-    if first:
-        G[0, 0] = 1.0
-        G[0, 1:] = A.sum(axis=0) / np.sqrt(T)
+    G = np.zeros((1 + B, 1 + B), order="F")
+    G[1:, 1:] = blas.dsyrk(1.0, a, trans=trans)
+    G[0, 0] = 1.0
+    G[0, 1:] = A.sum(axis=0) / np.sqrt(T)
     norms = np.sqrt(np.diagonal(G))
     # a pivot never exceeds its column's norm
-    if not norms[first:].min() >= 2.0 * floor:
+    if not norms[1:].min() >= 2.0 * floor:
         return None
     R, info = lapack.dpotrf(G / norms / norms[:, None], overwrite_a=1)
     if info != 0 or not lapack.dtrcon(R)[0] * _GRAM_MAX_COND >= 1.0:
         return None
     R *= norms
-    if not np.diagonal(R)[first:].min() >= 2.0 * floor:
+    if not np.diagonal(R)[1:].min() >= 2.0 * floor:
         return None
     return Orthonormalized(kept=list(range(B)), dropped=[],
-                           _factor=("cholesky", A, R, first))
+                           _factor=("cholesky", A, R))
 
 
-def _householder(A: np.ndarray, first: int, floor: float) -> Optional[Orthonormalized]:
+def _householder(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
     """Solver 2 of ``orthonormalize``, or None where its gate fails."""
     T, B = A.shape
-    m = min(B, T - first)
+    m = min(B, T - 1)
     if m == 0:
         return None
     from scipy.linalg import lapack
-    F = _with_constant(A[:, :m], first)
+    F = np.empty((T, 1 + m), order="F")
+    F[:, 0] = 1.0 / np.sqrt(T)
+    F[:, 1:] = A[:, :m]
     # the lwork=-1 query of dgeqrf would copy the whole matrix
-    lwork = int(lapack.dgeqrf_lwork(T, first + m)[0])
+    lwork = int(lapack.dgeqrf_lwork(T, 1 + m)[0])
     F, tau, _, _ = lapack.dgeqrf(F, lwork=lwork, overwrite_a=1)
-    if np.abs(np.diagonal(F)[first:]).min() < 2.0 * floor:
+    if np.abs(np.diagonal(F)[1:]).min() < 2.0 * floor:
         return None
     return Orthonormalized(kept=list(range(m)), dropped=list(range(m, B)),
-                           _factor=("householder", F, tau, first))
+                           _factor=("householder", F, tau))
 
 
-def _gram_schmidt(A: np.ndarray, prepend_constant: bool, floor: float,
-                  block: int) -> Orthonormalized:
+def _gram_schmidt(A: np.ndarray, floor: float) -> Orthonormalized:
     """Blocked modified Gram-Schmidt with the drop rule of ``orthonormalize``.
 
     Columns are processed in blocks so the projections run as matrix
@@ -485,21 +462,17 @@ def _gram_schmidt(A: np.ndarray, prepend_constant: bool, floor: float,
     """
     T, B = A.shape
     Q = np.empty((T, min(B + 1, T)), order="F")
-    k = 0
-    if prepend_constant:
-        Q[:, 0] = 1.0 / np.sqrt(T)
-        k = 1
-    first = k
+    Q[:, 0] = 1.0 / np.sqrt(T)
+    k = 1
     kept: List[int] = []
     dropped: List[int] = []
-    for j0 in range(0, B, block):
+    for j0 in range(0, B, _GS_BLOCK):
         if k == T:
             dropped.extend(range(j0, B))
             break
-        blk = A[:, j0:j0 + min(block, B - j0)].copy(order="F")
+        blk = A[:, j0:j0 + _GS_BLOCK].copy(order="F")
         for _ in range(2):
-            if k:
-                blk -= Q[:, :k] @ (Q[:, :k].T @ blk)
+            blk -= Q[:, :k] @ (Q[:, :k].T @ blk)
         k_block = k
         for c in range(blk.shape[1]):
             if k == T:
@@ -518,15 +491,15 @@ def _gram_schmidt(A: np.ndarray, prepend_constant: bool, floor: float,
             kept.append(j0 + c)
             k += 1
     return Orthonormalized(kept=kept, dropped=dropped,
-                           _factor=("gram_schmidt", Q[:, first:k]))
+                           _factor=("gram_schmidt", Q[:, 1:k]))
 
 
-def capacities(P: np.ndarray, ortho: Orthonormalized,
-               terms: Sequence[BasisTerm]) -> np.ndarray:
-    """C_i = ||P^T xi_i||^2 for each term, in term order; dropped terms get 0."""
+def capacities(P: np.ndarray, ortho: Orthonormalized) -> np.ndarray:
+    """C_i = ||P^T xi_i||^2 for each basis column, in column order; dropped
+    columns get 0."""
     if ortho.n_rows != P.shape[0]:
         raise ValueError("basis rows and state rows are misaligned")
-    caps = np.zeros(len(terms))
+    caps = np.zeros(len(ortho.kept) + len(ortho.dropped))
     if ortho.kept:
         G = ortho.project(P)         # n_kept x r
         caps[ortho.kept] = np.sum(G * G, axis=1)
@@ -565,23 +538,48 @@ def _chi2_sf(x: float, r: int) -> float:
     return head + math.exp(shift * math.log(2.0) - h) * weight * series
 
 
-def _chi2_quantile(p: float, r: int) -> float:
-    """The x with P(chi^2(r) > x) = p: bisection on ``_chi2_sf`` until the
-    bracket stops shrinking (at most 54 steps for r = 1-64, 1e-6 <= p <= 0.5).
+def _chi2_cdf(x: float, r: int) -> float:
+    """P(chi^2(r) <= x) for x > 0 from the lower-tail series: with h = x/2
+    and a = r/2, e^-h sum_{k >= 0} h^(a+k) / Gamma(a+k+1).
 
-    For r = 1-64 and 1e-6 <= p <= 0.5 it is within 3.4e-16 relative of the
-    40-digit root (``scipy.special.chdtri`` errs by up to 1.8e-14 there).
-    Towards p = 1 the survival function rounds near 1 and the root loses
-    digits (1.1e-13 relative at p = 0.999).
+    Where ``_chi2_quantile`` reads it, below the median, h < a + 1, so the
+    terms shrink from the first and the series converges geometrically.
     """
+    h, a = 0.5 * x, 0.5 * r
+    series, term, k = 1.0, 1.0, 0
+    while True:
+        k += 1
+        term *= h / (a + k)
+        if series + term == series:
+            return math.exp(a * math.log(h) - h - math.lgamma(a + 1.0)) * series
+        series += term
+
+
+def _chi2_quantile(p: float, r: int) -> float:
+    """The x with P(chi^2(r) > x) = p: bisection until the bracket stops
+    shrinking (at most 54 steps for r = 1-64 and 1e-6 <= p <= 0.5; 112 at
+    r = 1 and p = 1 - 1e-9).
+
+    For p <= 0.5 the predicate is ``_chi2_sf`` against p.  Above, the
+    survival function rounds near 1 and would lose the root's digits, so it
+    is ``_chi2_cdf`` against 1 - p, which is exact there.  For r = 1-64 the
+    root is within 3.4e-16 relative of the 40-digit root for 1e-6 <= p <=
+    0.5 (``scipy.special.chdtri`` errs by up to 1.8e-14 there) and within
+    4.3e-15 for 0.6 <= p <= 1 - 1e-9 (chdtri: 2.8e-15).
+    """
+    q = 1.0 - p
+
+    def below(x: float) -> bool:
+        return _chi2_sf(x, r) > p if p <= 0.5 else _chi2_cdf(x, r) < q
+
     lo, hi = 0.0, float(r)
-    while _chi2_sf(hi, r) > p:
+    while below(hi):
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if _chi2_sf(mid, r) > p:
+        if below(mid):
             lo = mid
         else:
             hi = mid
@@ -614,7 +612,7 @@ def shuffle_surrogate_threshold(inputs: np.ndarray, input_offset: int,
         # no local holds the basis: it is freed before the next one is built
         caps = capacities(P, orthonormalize(evaluate_bases(
             terms, shuffled, input_offset, xhat=xhat, start_row=start_row,
-            n_rows=n_rows, input_range=input_range)), terms)
+            n_rows=n_rows, input_range=input_range)))
         worst = max(worst, caps[eligible].max(initial=0.0))
     return float(sigma * worst)
 
@@ -741,7 +739,7 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     # no local holds the basis: it is freed once ``capacities`` has read it
     caps = capacities(P_eval, orthonormalize(evaluate_bases(
         terms, inputs, input_offset, xhat=ns.P, start_row=lx, n_rows=T_eval,
-        input_range=settings.input_range)), terms)
+        input_range=settings.input_range)))
     if params["mode"] == "surrogate":
         th = shuffle_surrogate_threshold(
             inputs, input_offset, terms, P_eval, surrogate_rng, xhat=ns.P,

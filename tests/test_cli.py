@@ -67,8 +67,11 @@ class TestConfig:
         ({"p": 1.0}, "p"),
         ({"term_cap": 0}, "term_cap"),
         ({"analysis_len": 2, "max_state_delay": 2}, "analysis_len"),
+        ({"sigma": 0.0}, "sigma"),
+        ({"surrogate_sigma": -1.2}, "surrogate_sigma"),
     ], ids=["max_state_delay", "max_degree", "max_input_delay", "surrogates",
-            "p-zero", "p-one", "term_cap", "analysis_len"])
+            "p-zero", "p-one", "term_cap", "analysis_len", "sigma",
+            "surrogate_sigma"])
     def test_bad_tipc_values_name_their_key(self, tipc, key):
         # a negative max_state_delay used to shift every input factor by a
         # row; the others failed deep in tipc, or wrote empty profiles

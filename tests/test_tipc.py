@@ -102,6 +102,13 @@ def reference_mgs(A, drop_tol=1e-8):
     return Q[:, 1:k], kept, dropped
 
 
+def kept_vectors(ortho, A):
+    """The kept orthonormal vectors as columns, from ``project``, with
+    Gram-Schmidt's signs: each has a positive product with its basis column."""
+    Q = ortho.project(np.eye(ortho.n_rows)).T
+    return Q * np.sign(np.sum(Q * A[:, ortho.kept], axis=0))
+
+
 def chi2_quantile_oracle(r: int, q: float) -> float:
     """Quantile of chi^2(r) by quadrature of the density plus root finding;
     independent of the inverse-incomplete-gamma route used in the library."""
@@ -241,6 +248,14 @@ class TestEvaluateBases:
         with pytest.raises(ValueError, match="history"):
             evaluate_bases(terms, rng.uniform(size=10), input_offset=1, n_rows=5)
 
+    @pytest.mark.parametrize("start_row", [0, 1])
+    def test_state_delay_past_start_row_rejected(self, rng, start_row):
+        # xhat[rows - 2] used to wrap to xhat's last rows
+        terms = [BasisTerm(state_exponents=((0, 2, 1),))]
+        with pytest.raises(ValueError, match="delay 2 exceeds start_row"):
+            evaluate_bases(terms, rng.uniform(size=12), input_offset=0,
+                           xhat=rng.normal(size=(12, 1)), start_row=start_row)
+
     def test_state_factor_alignment(self, rng):
         xhat = rng.normal(size=(12, 2))
         terms = [BasisTerm(state_exponents=((1, 2, 1),))]
@@ -279,7 +294,8 @@ class TestOrthonormalize:
         Q0, _ = np.linalg.qr(Q0)
         res = orthonormalize(Q0)
         assert res.kept == [0, 1, 2, 3]
-        assert np.allclose(np.abs(res.Q.T @ Q0), np.eye(4), atol=1e-8)
+        Q = kept_vectors(res, Q0)
+        assert np.allclose(np.abs(Q.T @ Q0), np.eye(4), atol=1e-8)
 
     def test_duplicate_column_dropped(self, rng):
         col = rng.normal(size=(80, 1))
@@ -295,25 +311,31 @@ class TestOrthonormalize:
         t = np.linspace(0.01, 1, T)
         hilbertish = np.column_stack([t**k for k in range(12)])
         res = orthonormalize(hilbertish)
-        G = res.Q.T @ res.Q
+        Q = kept_vectors(res, hilbertish)
+        G = Q.T @ Q
         assert np.abs(G - np.eye(G.shape[0])).max() <= 1e-8
-        assert np.abs(np.linalg.norm(res.Q, axis=0) - 1).max() <= 1e-10
+        assert np.abs(np.linalg.norm(Q, axis=0) - 1).max() <= 1e-10
 
     def test_spans_match_qr_oracle(self, rng):
         A = rng.normal(size=(100, 8))
-        res = orthonormalize(A, prepend_constant=False)
-        Qr, _ = np.linalg.qr(A)
-        # same nested spans: projectors agree
-        P_mine = res.Q @ res.Q.T
-        P_qr = Qr @ Qr.T
+        res = orthonormalize(A)
+        Qr, _ = np.linalg.qr(np.column_stack([np.ones(100), A]))
+        # same nested spans after the constant: projectors agree
+        Q = kept_vectors(res, A)
+        P_mine = Q @ Q.T
+        P_qr = Qr[:, 1:] @ Qr[:, 1:].T
         assert np.abs(P_mine - P_qr).max() <= 1e-8
 
-    def test_block_boundaries_do_not_matter(self, rng):
+    def test_block_boundaries_do_not_matter(self, rng, solvers, monkeypatch):
         A = rng.normal(size=(150, 20))
-        a = orthonormalize(A, block=3)
-        b = orthonormalize(A, block=64)
-        assert a.kept == b.kept
-        assert np.abs(a.Q - b.Q).max() <= 1e-9
+        A[:, 7] = A[:, 4]        # a dropped column sends it to Gram-Schmidt
+        monkeypatch.setattr(tipc, "_GS_BLOCK", 3)
+        a = orthonormalize(A)
+        monkeypatch.setattr(tipc, "_GS_BLOCK", 64)
+        b = orthonormalize(A)
+        assert [s for s, _ in solvers] == ["gram_schmidt", "gram_schmidt"]
+        assert a.kept == b.kept and a.dropped == b.dropped == [7]
+        assert np.abs(kept_vectors(a, A) - kept_vectors(b, A)).max() <= 1e-9
 
 
     def test_wide_rank_deficient_basis_matches_reference(self, rng):
@@ -327,7 +349,7 @@ class TestOrthonormalize:
         # the late kept columns lose ~1e3 of their norm to the projection, so
         # any reordering of the same arithmetic moves Q by ~1e-12 here
         assert res.kept == kept and res.dropped == dropped
-        assert np.abs(res.Q - Q).max() <= 1e-12
+        assert np.abs(kept_vectors(res, B) - Q).max() <= 1e-12
 
     def test_tall_legendre_basis_matches_reference(self, rng):
         u = rng.uniform(-1, 1, size=2100)
@@ -336,27 +358,29 @@ class TestOrthonormalize:
         Q, kept, dropped = reference_mgs(B)
         res = orthonormalize(B)
         assert res.kept == kept and res.dropped == dropped
-        assert np.abs(res.Q - Q).max() <= 1e-12
+        assert np.abs(kept_vectors(res, B) - Q).max() <= 1e-12
 
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e9])
     def test_never_more_vectors_than_rows(self, rng, scale):
         # an absolute drop floor alone let roundoff residuals of huge
         # columns through once the kept span was already all of R^T
         T = 10
-        res = orthonormalize(rng.normal(size=(T, 40)) * scale)
+        A = rng.normal(size=(T, 40)) * scale
+        res = orthonormalize(A)
         assert len(res.kept) <= T - 1
-        full = np.column_stack([np.full(T, 1.0 / np.sqrt(T)), res.Q])
+        full = np.column_stack([np.full(T, 1.0 / np.sqrt(T)),
+                                kept_vectors(res, A)])
         assert np.abs(full.T @ full - np.eye(full.shape[1])).max() <= 1e-12
 
     @pytest.mark.parametrize("factor,kept", [(0.5, [0]), (2.0, [0, 1])])
     def test_drop_floor_edge(self, rng, factor, kept):
         # the second column's component orthogonal to [constant, a] has norm
         # factor * drop_tol * sqrt(T)
-        T, drop_tol = 100, 1e-8
+        T, drop_tol = 100, tipc._DROP_TOL
         a = rng.normal(size=T)
         W, _ = np.linalg.qr(np.column_stack([np.ones(T), a, rng.normal(size=T)]))
         b = 3.0 * a + 0.7 + factor * drop_tol * np.sqrt(T) * W[:, 2]
-        res = orthonormalize(np.column_stack([a, b]), drop_tol=drop_tol)
+        res = orthonormalize(np.column_stack([a, b]))
         assert res.kept == kept
 
     def test_zero_row_basis_rejected(self):
@@ -410,10 +434,10 @@ class TestHouseholderSolver:
         caps, kept, dropped = reference_capacities(P, B)
         res = orthonormalize(B)
         assert solvers == [(solver, B.shape)]
-        qr = tipc._householder(B, 1, 1e-8 * np.sqrt(n_rows))
+        qr = tipc._householder(B, tipc._DROP_TOL * np.sqrt(n_rows))
         assert res.kept == qr.kept == kept == list(range(n_kept))
         assert res.dropped == qr.dropped == dropped
-        mine = capacities(P, res, [BasisTerm()] * B.shape[1])
+        mine = capacities(P, res)
         assert np.abs(np.array(mine) - caps).max() <= 1e-12
         assert np.abs(np.sum(res.project(P) ** 2, axis=1)
                       - np.sum(qr.project(P) ** 2, axis=1)).max() <= 1e-12
@@ -431,8 +455,8 @@ class TestHouseholderSolver:
         assert solvers == [("gram_schmidt", B.shape)]
         assert 5 in dropped and len(kept) == B.shape[0] - 1
         assert res.kept == kept and res.dropped == dropped
-        assert np.abs(res.Q - Q).max() <= 1e-12
-        mine = capacities(P, res, [BasisTerm()] * B.shape[1])
+        assert np.abs(kept_vectors(res, B) - Q).max() <= 1e-12
+        mine = capacities(P, res)
         assert np.abs(np.array(mine) - caps).max() <= 1e-12
 
     @pytest.mark.parametrize("factor,fallback,kept",
@@ -441,12 +465,12 @@ class TestHouseholderSolver:
     def test_pivot_under_twice_the_floor_falls_back(self, rng, solvers, factor,
                                                     fallback, kept):
         # the second column's pivot is factor * drop_tol * sqrt(T)
-        T, drop_tol = 100, 1e-8
+        T, drop_tol = 100, tipc._DROP_TOL
         a = rng.normal(size=T)
         W, _ = np.linalg.qr(np.column_stack([np.ones(T), a, rng.normal(size=T)]))
         b = 3.0 * a + 0.7 + factor * drop_tol * np.sqrt(T) * W[:, 2]
         A = np.column_stack([a, b])
-        res = orthonormalize(A, drop_tol=drop_tol)
+        res = orthonormalize(A)
         assert res.kept == kept == reference_mgs(A, drop_tol)[1]
         assert solvers == [("gram_schmidt" if fallback else "householder", A.shape)]
 
@@ -509,7 +533,7 @@ class TestCholeskySolver:
         assert solvers == [(solver, A.shape)]
         Q, kept, dropped = reference_mgs(A)
         assert res.kept == kept == [0, 1] and res.dropped == dropped == []
-        assert np.abs(res.Q - Q).max() <= 1e-12
+        assert np.abs(kept_vectors(res, A) - Q).max() <= 1e-12
 
     @pytest.mark.parametrize("factor,solver,kept",
                              [(0.0, "gram_schmidt", [0]),
@@ -520,13 +544,13 @@ class TestCholeskySolver:
                                                     solver, kept):
         # the second column is factor * drop_tol * sqrt(T) (w + a): pivot
         # factor times the floor, norm sqrt(2) times that, condition ~2.4
-        T, drop_tol = 400, 1e-8
+        T, drop_tol = 400, tipc._DROP_TOL
         W, _ = np.linalg.qr(np.column_stack([np.ones(T), rng.normal(size=(T, 2))]))
         A = np.column_stack([W[:, 1],
                              factor * drop_tol * np.sqrt(T) * (W[:, 2] + W[:, 1])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = orthonormalize(A, drop_tol=drop_tol)
+            res = orthonormalize(A)
         assert solvers == [(solver, A.shape)]
         assert res.kept == kept == reference_mgs(A, drop_tol)[1]
 
@@ -566,15 +590,14 @@ class TestCholeskySolver:
         assert a._factor[1] is B and b._factor[1] is C   # the basis, not a copy
         assert a.kept == b.kept
         assert np.abs(a.project(P) - b.project(P)).max() <= 1e-12
-        assert np.abs(a.project(P) - a.Q.T @ P).max() <= 1e-12
+        assert np.abs(a.project(P) - reference_mgs(B)[0].T @ P).max() <= 1e-12
 
 
 class TestCapacities:
     def test_exact_reconstruction_scores_one(self, rng):
         ns = normalize_states(rng.normal(size=(300, 3)))
-        terms = [BasisTerm(input_exponents=((1, 1),))]
         ortho = orthonormalize(ns.P[:, [1]].copy())
-        caps = capacities(ns.P, ortho, terms)
+        caps = capacities(ns.P, ortho)
         assert caps[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_shuffled_bases_score_near_r_over_T(self, rng):
@@ -585,23 +608,26 @@ class TestCapacities:
         for _ in range(300):
             xi = base[rng.permutation(T)]
             ortho = orthonormalize(xi[:, None].copy())
-            vals.append(capacities(ns.P, ortho,
-                                   [BasisTerm(input_exponents=((1, 1),))])[0])
+            vals.append(capacities(ns.P, ortho)[0])
         assert np.mean(vals) == pytest.approx(r / T, rel=0.15)
 
     def test_total_capacity_bounded_by_rank(self, rng):
         ns = normalize_states(rng.normal(size=(200, 3)))
         B = rng.normal(size=(200, 40))
-        ortho = orthonormalize(B)
-        terms = [BasisTerm(input_exponents=((s + 1, 1),)) for s in range(40)]
-        caps = capacities(ns.P, ortho, terms)
+        caps = capacities(ns.P, orthonormalize(B))
         assert sum(caps) <= ns.rank + 1e-6
+
+    def test_all_dropped_columns_score_zero(self, rng):
+        # no column is kept, so only the factor knows how many there are
+        ns = normalize_states(rng.normal(size=(50, 2)))
+        caps = capacities(ns.P, orthonormalize(np.full((50, 3), 3.3)))
+        assert caps.tolist() == [0.0, 0.0, 0.0]
 
     def test_misaligned_rows_rejected(self, rng):
         ns = normalize_states(rng.normal(size=(100, 2)))
         ortho = orthonormalize(rng.normal(size=(90, 3)))
         with pytest.raises(ValueError):
-            capacities(ns.P, ortho, [BasisTerm(input_exponents=((1, 1),))] * 3)
+            capacities(ns.P, ortho)
 
 
 class TestChi2Threshold:
@@ -645,6 +671,14 @@ class TestChi2Threshold:
                 ref = float(chdtri(r, p))
                 assert chi2_threshold(1, r, p=p, sigma=1.0) == pytest.approx(
                     ref, rel=2e-15, abs=0.0), (r, p)
+        # towards p = 1 the quantile and chdtri each sit within 4.3e-15 of
+        # the 40-digit root and differ by up to 2.9e-15; bisecting on the
+        # upper tail there erred by 1.1e-13 at p = 0.999, 1.1e-7 at 1 - 1e-9
+        for r in range(1, 65):
+            for p in (0.9, 0.99, 0.999, 1.0 - 1e-9):
+                ref = float(chdtri(r, p))
+                assert chi2_threshold(1, r, p=p, sigma=1.0) == pytest.approx(
+                    ref, rel=4e-15, abs=0.0), (r, p)
 
 
 class TestProfile:
@@ -832,7 +866,7 @@ class TestAnalyzeStates:
         for _ in range(n_terms):
             xi = base[rng.permutation(T)]
             ortho = orthonormalize(xi[:, None].copy())
-            c = capacities(ns.P, ortho, [BasisTerm(input_exponents=((1, 1),))])[0]
+            c = capacities(ns.P, ortho)[0]
             exceed += c >= th
         assert exceed <= 3 * p * n_terms + 1
 
@@ -853,10 +887,10 @@ class TestAnalyzeStates:
         prof = analyze_states(x, u, off, settings)
         terms = enumerate_bases(2, 6, 2, prof.rank, "legendre")
         (ortho,) = seen
-        assert len(terms) > ortho.Q.shape[0]
+        assert len(terms) > ortho.n_rows
         assert len(prof.capacity) == len(prof.truncated) == len(terms)
         assert prof.terms == terms
-        assert len(ortho.kept) == ortho.Q.shape[0] - 1
+        assert len(ortho.kept) == ortho.n_rows - 1
         assert all(prof.capacity[j] == 0.0 for j in ortho.dropped)
         assert sum(prof.capacity) <= prof.rank + 1e-9
 
@@ -880,13 +914,13 @@ class TestSurrogateThreshold:
         delayed = [BasisTerm(input_exponents=((s, 1),), family="legendre")
                    for s in range(2, 12)]
         B = evaluate_bases(delayed, u, 300, n_rows=2000)
-        true_caps = list(capacities(ns.P, orthonormalize(B), delayed))
+        true_caps = list(capacities(ns.P, orthonormalize(B)))
         surr_caps = []
         srng = np.random.default_rng(17)
         for _ in range(20):
             us = u[srng.permutation(len(u))]
             Bs = evaluate_bases(delayed, us, 300, n_rows=2000)
-            surr_caps += list(capacities(ns.P, orthonormalize(Bs), delayed))
+            surr_caps += list(capacities(ns.P, orthonormalize(Bs)))
         se = math.sqrt(np.var(true_caps) / len(true_caps)
                        + np.var(surr_caps) / len(surr_caps))
         assert abs(np.mean(true_caps) - np.mean(surr_caps)) <= 4 * se + 1e-6
