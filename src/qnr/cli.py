@@ -22,7 +22,7 @@ from .noise import AMPLITUDE_DAMPING, NoiseSpec
 from .reservoir import (QnrConfig, StateMatrix, esp_probe, fit_readout, narma2,
                         nrmse, run_esn, run_qnr, spatial_multiplex)
 from .rng import stream
-from .tipc import TipcSettings, analyze_states, ipc_of_target
+from .tipc import analyze_states, ipc_of_target
 
 
 def _draw_inputs(cfg, length: int) -> np.ndarray:
@@ -67,24 +67,6 @@ def _run_instances(cfg, instances, inputs: np.ndarray):
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             return list(pool.map(run_qnr, configs, [inputs] * len(configs)))
     return [run_qnr(qc, inputs) for qc in configs]
-
-
-def _tipc_settings(cfg) -> TipcSettings:
-    t = cfg.tipc
-    return TipcSettings(
-        max_degree=t.max_degree,
-        max_input_delay=t.max_input_delay,
-        max_state_delay=t.max_state_delay,
-        p=t.p,
-        sigma=t.sigma,
-        family=t.family,
-        input_range=(cfg.input.low, cfg.input.high),
-        input_uniform=cfg.input.kind == "uniform",
-        threshold_mode=t.threshold,
-        n_surrogates=t.surrogates,
-        surrogate_sigma=t.surrogate_sigma,
-        term_cap=t.term_cap,
-    )
 
 
 def _outdir(cfg) -> Path:
@@ -187,18 +169,19 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-def _per_qubit_rows(cfg, sm: StateMatrix, inputs, input_offset, settings):
-    rows = []
-    for q in range(sm.n_features):
-        prof = analyze_states(StateMatrix(sm.data[:, [q]]), inputs, input_offset, settings,
-                              surrogate_rng=stream(cfg.seed, "surrogate"))
-        rows.append((q, prof.rank, prof.c_tiv_tot, prof.c_tv_tot, prof.c_tot))
-    return rows
+def _profiles(cfg, sm: StateMatrix, inputs, input_offset):
+    """Profile of the whole state matrix, and one summary row per qubit alone."""
+    profs = (analyze_states(cols, inputs, input_offset, cfg.tipc,
+                            surrogate_rng=stream(cfg.seed, "surrogate"),
+                            input_range=(cfg.input.low, cfg.input.high),
+                            input_uniform=cfg.input.kind == "uniform")
+             for cols in [sm.data] + [sm.data[:, [q]] for q in range(sm.n_features)])
+    whole = next(profs)
+    return whole, [(q, p.rank, p.c_tiv_tot, p.c_tv_tot, p.c_tot) for q, p in enumerate(profs)]
 
 
 def cmd_tipc(cfg) -> int:
     out = _outdir(cfg)
-    settings = _tipc_settings(cfg)
     artifacts = []
     if cfg.ingest.states:
         inputs, states = dataio.read_trace(cfg.ingest.inputs, cfg.ingest.states)
@@ -221,10 +204,7 @@ def cmd_tipc(cfg) -> int:
                 for (i, mask, _), sm in zip(instances, _run_instances(cfg, instances, inputs))]
     # analyse every run before writing: a run that fails (a window too short
     # for its rank's chi2 threshold) leaves no partial output
-    analysed = [(name, mask,
-                 analyze_states(sm, inputs_used, offset, settings,
-                                surrogate_rng=stream(cfg.seed, "surrogate")),
-                 _per_qubit_rows(cfg, sm, inputs_used, offset, settings))
+    analysed = [(name, mask, *_profiles(cfg, sm, inputs_used, offset))
                 for name, mask, sm, inputs_used, offset in runs]
     summary = []
     for name, mask, prof, per_qubit in analysed:
@@ -259,11 +239,12 @@ def cmd_tipc(cfg) -> int:
 
 def cmd_ipc(cfg) -> int:
     out = _outdir(cfg)
-    settings = _tipc_settings(cfg)
     w, span = cfg.tipc.washout, cfg.tipc.analysis_len
     inputs = _draw_inputs(cfg, w + span)
     y = _target_sequence(cfg, inputs)[w:]
-    prof = ipc_of_target(y, inputs, w, settings, surrogate_rng=stream(cfg.seed, "surrogate"))
+    prof = ipc_of_target(y, inputs, w, cfg.tipc, surrogate_rng=stream(cfg.seed, "surrogate"),
+                         input_range=(cfg.input.low, cfg.input.high),
+                         input_uniform=cfg.input.kind == "uniform")
     pj, pc = out / "ipc_profile.json", out / "ipc_profile_degrees.csv"
     dataio.write_profile_json(pj, prof)
     dataio.write_profile_degrees_csv(pc, prof)

@@ -19,9 +19,11 @@ from typing import Dict, List, Optional
 
 import yaml
 
-from .noise import NOISE_KINDS, NoiseSpec, specs_from_mask
+from .noise import ENTANGLER_TWO_HOP, NOISE_KINDS, NoiseSpec, specs_from_mask
+from .qsim import MAX_QUBITS
 from .reservoir import EsnConfig, QnrConfig, benchmark_masks
 from .rng import stream
+from .tipc import TipcSettings
 
 
 class ConfigError(ValueError):
@@ -82,6 +84,11 @@ class ReservoirSpec:
     def validate(self):
         if self.kind not in ("qnr", "esn"):
             raise ConfigError(f"reservoir.kind must be qnr or esn, got {self.kind!r}")
+        # checked for esn too: `qnr esp` builds a qubit register from it
+        n = self.n_qubits
+        if not (type(n) is int and n % 2 == 0 and 2 <= n <= MAX_QUBITS):
+            raise ConfigError(f"reservoir.n_qubits must be an even integer in "
+                              f"[2, {MAX_QUBITS}], got {n!r}")
         if self.instances < 1:
             raise ConfigError("reservoir.instances must be >= 1")
         if not 0.0 <= self.noise_rate <= 1.0:
@@ -92,13 +99,30 @@ class ReservoirSpec:
                 and all(type(m) is int and 0 <= m < n_masks for m in self.masks)):
             raise ConfigError(f"reservoir.masks must be null, \"all\" or a list of "
                               f"integers in [0, {n_masks - 1}], got {self.masks!r}")
-        if self.noise is not None:
-            for entry in self.noise:
-                keys = set(entry)
-                if not keys <= {"kind", "rate", "targets"}:
-                    raise ConfigError(f"reservoir.noise entries allow kind/rate/targets, got {sorted(keys)}")
-                if entry.get("kind") not in NOISE_KINDS:
-                    raise ConfigError(f"unknown noise kind {entry.get('kind')!r}")
+        # the 2-hop entangler couples qubits j and j + 2
+        two_hop = 1 << NOISE_KINDS.index(ENTANGLER_TWO_HOP)
+        if self.masks is not None and n < 3 and any(m & two_hop for m in self.mask_list()):
+            raise ConfigError(f"reservoir.masks: {ENTANGLER_TWO_HOP} (mask bit {two_hop}) "
+                              f"needs at least 3 qubits, n_qubits is {n}")
+        for i, entry in enumerate(self.noise or []):
+            keys = set(entry)
+            if not keys <= {"kind", "rate", "targets"}:
+                raise ConfigError(f"reservoir.noise entries allow kind/rate/targets, "
+                                  f"got {sorted(keys)}")
+            if entry.get("kind") not in NOISE_KINDS:
+                raise ConfigError(f"reservoir.noise[{i}].kind: unknown noise kind "
+                                  f"{entry.get('kind')!r}")
+            if entry["kind"] == ENTANGLER_TWO_HOP and n < 3:
+                raise ConfigError(f"reservoir.noise[{i}].kind: {ENTANGLER_TWO_HOP} "
+                                  f"needs at least 3 qubits, n_qubits is {n}")
+            rate = entry.get("rate", self.noise_rate)
+            if not (type(rate) in (int, float) and 0.0 <= rate <= 1.0):
+                raise ConfigError(f"reservoir.noise[{i}].rate must be in [0, 1], got {rate!r}")
+            targets = entry.get("targets", [])
+            if not (isinstance(targets, (list, tuple))
+                    and all(type(q) is int and 0 <= q < n for q in targets)):
+                raise ConfigError(f"reservoir.noise[{i}].targets must be a list of qubits "
+                                  f"in [0, {n - 1}], got {targets!r}")
 
     def mask_list(self) -> List[int]:
         if self.noise is not None:
@@ -134,36 +158,15 @@ class EsnSpec:
 
 
 @dataclass
-class TipcSpec:
-    max_degree: int = 3
-    max_input_delay: int = 20
-    max_state_delay: int = 2
-    p: float = 1e-4
-    sigma: float = 2.0
-    family: str = "auto"
-    threshold: str = "chi2"        # chi2 | surrogate
-    surrogates: int = 200
-    surrogate_sigma: float = 1.2
-    term_cap: int = 20000
+class TipcSpec(TipcSettings):
     washout: int = 200
     analysis_len: int = 2000
 
     def validate(self):
-        if self.family not in ("auto", "monomial", "legendre"):
-            raise ConfigError(f"tipc.family invalid: {self.family!r}")
-        if self.threshold not in ("chi2", "surrogate"):
-            raise ConfigError(f"tipc.threshold invalid: {self.threshold!r}")
-        for key in ("max_degree", "max_input_delay", "surrogates", "term_cap"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"tipc.{key} must be >= 1")
-        if self.max_state_delay < 0:
-            raise ConfigError("tipc.max_state_delay must be >= 0")
-        if not 0.0 < self.p < 1.0:
-            raise ConfigError("tipc.p must be in (0, 1)")
-        # a threshold <= 0 would keep every term, noise included
-        for key in ("sigma", "surrogate_sigma"):
-            if not getattr(self, key) > 0.0:
-                raise ConfigError(f"tipc.{key} must be > 0")
+        try:
+            super().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.analysis_len <= self.max_state_delay:
             raise ConfigError("tipc.analysis_len must exceed tipc.max_state_delay")
         if self.washout < self.max_input_delay:

@@ -45,7 +45,6 @@ NOISE_KINDS = (
     ENTANGLER_TWO_HOP,
 )
 DECOHERENCE_KINDS = NOISE_KINDS[:5]
-COHERENT_KINDS = NOISE_KINDS[5:]
 
 
 @dataclass(frozen=True)

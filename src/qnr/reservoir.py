@@ -325,8 +325,12 @@ class Readout:
         return X @ self.weights
 
 
+# Relative singular-value cutoff of the readout's pseudo-inverse.
+_SV_CUTOFF = 1e-10
+
+
 def fit_readout(X: np.ndarray, y: Sequence[float], train_range: slice,
-                add_bias: bool = True, sv_cutoff: float = 1e-10) -> Readout:
+                add_bias: bool = True) -> Readout:
     """Minimum-norm least squares over the training rows.
 
     Solved through the SVD pseudo-inverse with a relative singular-value
@@ -340,12 +344,14 @@ def fit_readout(X: np.ndarray, y: Sequence[float], train_range: slice,
         raise ValueError("X and y must have matching time length")
     Xtr = X[train_range]
     ytr = y[train_range]
+    if not len(ytr):
+        raise ValueError(f"train_range {train_range} selects no rows")
     degenerate = not np.any(Xtr)
     if add_bias:
         Xtr = np.hstack([Xtr, np.ones((Xtr.shape[0], 1))])
-    w, res, rank, sv = np.linalg.lstsq(Xtr, ytr, rcond=sv_cutoff)
+    w, res, rank, sv = np.linalg.lstsq(Xtr, ytr, rcond=_SV_CUTOFF)
     resid = float(np.linalg.norm(Xtr @ w - ytr))
-    kept = sv[sv > sv_cutoff * sv[0]] if sv.size else sv
+    kept = sv[sv > _SV_CUTOFF * sv[0]] if sv.size else sv
     cond = float(kept[0] / kept[-1]) if kept.size else np.inf
     return Readout(weights=w, has_bias=add_bias, residual_norm=resid,
                    rank=int(rank), condition=cond, degenerate=degenerate)
@@ -359,6 +365,8 @@ def nrmse(y: Sequence[float], yhat: Sequence[float],
     if eval_range is not None:
         y = y[eval_range]
         yhat = yhat[eval_range]
+        if not len(y):
+            raise ValueError(f"eval_range {eval_range} selects no rows")
     sigma = np.std(y)
     if sigma == 0:
         raise ValueError("target has zero variance over the evaluation range")
@@ -387,9 +395,12 @@ class EspProbe:
     fit_points: int             # samples used for the fit (pre-floor segment)
 
 
+# State differences at or below this are roundoff: the decay fit stops there.
+_ESP_FLOOR = 1e-13
+
+
 def esp_probe(config: QnrConfig, inputs: Sequence[float], n_trials: int,
-              initial_states: Optional[Sequence[Sequence[np.ndarray]]] = None,
-              floor: float = 1e-13) -> EspProbe:
+              initial_states: Optional[Sequence[Sequence[np.ndarray]]] = None) -> EspProbe:
     """Drive n_trials copies of the reservoir from random initial states.
 
     Trial m starts from n/2 Haar-random pair product states drawn in turn from
@@ -416,7 +427,7 @@ def esp_probe(config: QnrConfig, inputs: Sequence[float], n_trials: int,
     trajs[:, 0] = [np.concatenate([qsim.expect_all_z(p) for p in s]) for s in pairs]
     trajs[:, 1:] = data.reshape(len(inputs), n_trials, -1).swapaxes(0, 1)
     deltas = np.mean(np.linalg.norm(trajs[1:] - trajs[0], axis=2), axis=0)
-    good = deltas > floor
+    good = deltas > _ESP_FLOOR
     # fit on the initial contiguous pre-floor segment
     stop = int(np.argmin(good)) if not good.all() else len(deltas)
     tgrid = np.arange(stop)

@@ -10,6 +10,10 @@ returns one float64 per term, in term order, and a ``CapacityProfile``
 keeps the term list, that array, a bool mask of the truncated terms and
 the per-degree totals.
 
+Settings.  ``TipcSettings`` holds the ``tipc:`` config keys of the analysis
+and ``analyze_states`` validates it; the inputs' declared range and kind
+come with the inputs, as keyword arguments.
+
 Conventions.  State row t is aligned with input u_t: the row was measured
 after the circuit consumed u_t, so the expansion's delay-1 factor refers
 to u_t itself.  Internally terms carry expansion delays s >= 1; emitted
@@ -46,6 +50,9 @@ import numpy as np
 
 from .reservoir import StateMatrix
 
+# State directions with singular value below this times the largest are dropped.
+_SV_CUTOFF = 1e-10
+
 
 @dataclass
 class NormalizedStates:
@@ -56,11 +63,10 @@ class NormalizedStates:
     rank: int
 
 
-def normalize_states(X: np.ndarray, sv_cutoff: float = 1e-10,
-                     abs_floor: Optional[float] = None) -> NormalizedStates:
+def normalize_states(X: np.ndarray, abs_floor: Optional[float] = None) -> NormalizedStates:
     """Center columns and compact-SVD the state matrix X = P S Q^T.
 
-    Columns of P with singular value below max(sv_cutoff * sigma_max,
+    Columns of P with singular value below max(_SV_CUTOFF * sigma_max,
     abs_floor) are dropped; the default absolute floor 1e-8 * sqrt(T)
     classifies roundoff-scale state matrices (the noiseless reservoir) as
     rank zero.  P column signs are fixed by making each column's
@@ -78,7 +84,7 @@ def normalize_states(X: np.ndarray, sv_cutoff: float = 1e-10,
     if not np.any(Xc):
         return NormalizedStates(np.empty((T, 0)), np.zeros(0), 0)
     P, sv, _ = np.linalg.svd(Xc, full_matrices=False)
-    keep = sv >= max(sv_cutoff * sv[0], abs_floor)
+    keep = sv >= max(_SV_CUTOFF * sv[0], abs_floor)
     r = int(np.sum(keep))
     P = P[:, :r]
     for k in range(r):
@@ -677,48 +683,64 @@ def profile(terms: Sequence[BasisTerm], caps: np.ndarray, threshold: float, rank
 
 @dataclass
 class TipcSettings:
-    """Knobs of the capacity analysis; defaults follow the desk-scale setup."""
+    """Analysis keys of the ``tipc:`` config section, under its YAML names and
+    defaults; ``config.TipcSpec`` adds the analysis window to them."""
 
     max_degree: int = 3
     max_input_delay: int = 20
     max_state_delay: int = 2
     p: float = 1e-4
     sigma: float = 2.0
-    family: str = "auto"            # auto | monomial | legendre
-    input_range: Tuple[float, float] = (0.0, 1.0)
-    input_uniform: bool = True
-    threshold_mode: str = "chi2"    # chi2 | surrogate
-    n_surrogates: int = 200
+    family: str = "auto"           # auto | monomial | legendre
+    threshold: str = "chi2"        # chi2 | surrogate
+    surrogates: int = 200
     surrogate_sigma: float = 1.2
     term_cap: int = 20000
 
-    def resolved_family(self) -> str:
-        if self.family != "auto":
-            return self.family
-        return "legendre" if self.input_uniform else "monomial"
+    def validate(self):
+        """Raise ValueError naming the first bad key as ``tipc.<key>``."""
+        if self.family not in ("auto", "monomial", "legendre"):
+            raise ValueError(f"tipc.family invalid: {self.family!r}")
+        if self.threshold not in ("chi2", "surrogate"):
+            raise ValueError(f"tipc.threshold invalid: {self.threshold!r}")
+        for key in ("max_degree", "max_input_delay", "surrogates", "term_cap"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"tipc.{key} must be >= 1")
+        if self.max_state_delay < 0:
+            raise ValueError("tipc.max_state_delay must be >= 0")
+        if not 0.0 < self.p < 1.0:
+            raise ValueError("tipc.p must be in (0, 1)")
+        # a threshold <= 0 would keep every term, noise included
+        for key in ("sigma", "surrogate_sigma"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"tipc.{key} must be > 0")
 
 
 def analyze_states(states, inputs: np.ndarray, input_offset: int,
                    settings: TipcSettings,
-                   surrogate_rng: Optional[np.random.Generator] = None) -> CapacityProfile:
+                   surrogate_rng: Optional[np.random.Generator] = None, *,
+                   input_range: Tuple[float, float] = (0.0, 1.0),
+                   input_uniform: bool = True) -> CapacityProfile:
     """Full TIPC profile of a state matrix against its input sequence.
 
     ``input_offset`` positions the states in the input array: state row i
     consumed ``inputs[input_offset + i]``, and earlier entries provide the
-    delay history.  With state-history terms enabled, the first
-    ``max_state_delay`` rows only serve as history and the capacities are
-    measured against the remaining rows, re-orthonormalized.
+    delay history; family ``auto`` means Legendre if ``input_uniform``.
+    With state-history terms enabled, the first ``max_state_delay`` rows only
+    serve as history and the capacities are measured against the remaining
+    rows, re-orthonormalized.
     """
+    settings.validate()
     X = states.data if isinstance(states, StateMatrix) else np.asarray(states, dtype=float)
     ns = normalize_states(X)
     if ns.rank == 0:
         return profile([], np.zeros(0), float("nan"), 0)
     lx = settings.max_state_delay
     T_eval = X.shape[0] - lx
-    if settings.threshold_mode == "surrogate":
+    if settings.threshold == "surrogate":
         if surrogate_rng is None:
             raise ValueError("surrogate threshold needs an rng")
-        params = {"mode": "surrogate", "n_surrogates": settings.n_surrogates,
+        params = {"mode": "surrogate", "n_surrogates": settings.surrogates,
                   "sigma": settings.surrogate_sigma}
     else:
         params = {"mode": "chi2", "p": settings.p, "sigma": settings.sigma}
@@ -732,25 +754,29 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
                 f"capacity 1, so every term would be truncated; the threshold "
                 f"needs at least {need} rows (after {lx} state-history rows). "
                 "Raise tipc.analysis_len or analyse a longer trace")
-    family = settings.resolved_family()
+    family = settings.family
+    if family == "auto":
+        family = "legendre" if input_uniform else "monomial"
     terms = enumerate_bases(settings.max_degree, settings.max_input_delay,
                             lx, ns.rank, family, settings.term_cap)
-    P_eval = normalize_states(ns.P[lx:], 1e-10, abs_floor=1e-12).P if lx > 0 else ns.P
+    P_eval = normalize_states(ns.P[lx:], abs_floor=1e-12).P if lx > 0 else ns.P
     # no local holds the basis: it is freed once ``capacities`` has read it
     caps = capacities(P_eval, orthonormalize(evaluate_bases(
         terms, inputs, input_offset, xhat=ns.P, start_row=lx, n_rows=T_eval,
-        input_range=settings.input_range)))
+        input_range=input_range)))
     if params["mode"] == "surrogate":
         th = shuffle_surrogate_threshold(
             inputs, input_offset, terms, P_eval, surrogate_rng, xhat=ns.P,
-            start_row=lx, input_range=settings.input_range,
-            n_surrogates=settings.n_surrogates, sigma=settings.surrogate_sigma)
+            start_row=lx, input_range=input_range,
+            n_surrogates=settings.surrogates, sigma=settings.surrogate_sigma)
     return profile(terms, caps, th, ns.rank, params)
 
 
 def ipc_of_target(y: np.ndarray, inputs: np.ndarray, input_offset: int,
                   settings: TipcSettings,
-                  surrogate_rng: Optional[np.random.Generator] = None) -> CapacityProfile:
+                  surrogate_rng: Optional[np.random.Generator] = None, *,
+                  input_range: Tuple[float, float] = (0.0, 1.0),
+                  input_uniform: bool = True) -> CapacityProfile:
     """Information processing capacity of a scalar target sequence.
 
     The target is treated as a one-feature state matrix and decomposed on
@@ -760,4 +786,5 @@ def ipc_of_target(y: np.ndarray, inputs: np.ndarray, input_offset: int,
     if np.std(y) == 0:
         raise ValueError("target sequence is constant")
     return analyze_states(y, inputs, input_offset, replace(settings, max_state_delay=0),
-                          surrogate_rng=surrogate_rng)
+                          surrogate_rng=surrogate_rng, input_range=input_range,
+                          input_uniform=input_uniform)

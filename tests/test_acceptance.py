@@ -133,17 +133,17 @@ def test_criterion_04_zero_capacity_noise_classes():
     washout, span = 60, 2000
     inputs = _inputs(washout + span)
     settings = TipcSettings(max_degree=2, max_input_delay=8, max_state_delay=1,
-                            input_range=(0.0, 1.0), family="legendre")
+                            family="legendre")
     failures = []
     for kind in (OVER_ROTATION_RX, OVER_ROTATION_RZ, BIT_FLIP, PHASE_FLIP,
                  PHASE_DAMPING, DEPOLARIZING):
         sm = _single_noise_states(kind, 0.1, inputs)
-        prof = analyze_states(sm.data[washout:], inputs, washout, settings)
+        prof = analyze_states(sm.data[washout:], inputs, washout, settings, input_range=(0.0, 1.0))
         if prof.rank != 0 or prof.terms:
             failures.append(f"{kind}: r={prof.rank}")
     for kind in (CNOT_BIAS, ENTANGLER_ONE_HOP, ENTANGLER_TWO_HOP):
         sm = _single_noise_states(kind, 0.1, inputs)
-        prof = analyze_states(sm.data[washout:], inputs, washout, settings)
+        prof = analyze_states(sm.data[washout:], inputs, washout, settings, input_range=(0.0, 1.0))
         if not (prof.c_tiv_tot == 0.0 and prof.c_tv_tot > 0.0):
             failures.append(f"{kind}: TIV={prof.c_tiv_tot:.4f} TV={prof.c_tv_tot:.4f}")
     elapsed = time.perf_counter() - t0
@@ -157,12 +157,12 @@ def test_criterion_05a_damping_induces_tiv_monotone():
     washout, span = 60, 2000
     inputs = _inputs(washout + span)
     settings = TipcSettings(max_degree=2, max_input_delay=10, max_state_delay=1,
-                            input_range=(0.0, 1.0), family="legendre")
+                            family="legendre")
     fractions = []
     details = []
     for gamma in (0.02, 0.05, 0.1, 0.2):
         sm = _single_noise_states(AMPLITUDE_DAMPING, gamma, inputs)
-        prof = analyze_states(sm.data[washout:], inputs, washout, settings)
+        prof = analyze_states(sm.data[washout:], inputs, washout, settings, input_range=(0.0, 1.0))
         assert prof.c_tiv_tot > 0.0, f"gamma={gamma}: no TIV capacity"
         frac = prof.c_tiv_tot / prof.c_tot
         fractions.append(frac)
@@ -176,9 +176,9 @@ def test_criterion_05b_symmetric_input_suppresses_first_order():
     washout, span = 60, 2000
     inputs = stream(MASTER_SEED, "inputs").uniform(-1.0, 1.0, washout + span)
     settings = TipcSettings(max_degree=2, max_input_delay=10, max_state_delay=1,
-                            input_range=(-1.0, 1.0), family="legendre")
+                            family="legendre")
     sm = _single_noise_states(AMPLITUDE_DAMPING, 0.1, inputs)
-    prof = analyze_states(sm.data[washout:], inputs, washout, settings)
+    prof = analyze_states(sm.data[washout:], inputs, washout, settings, input_range=(-1.0, 1.0))
     first_order = prof.tiv_by_degree.get(1, 0.0)
     report("5b symmetric input", first_order == 0.0,
            f"first-order TIV total {first_order:.2e} "
@@ -245,11 +245,11 @@ def narma2_ipc():
     u = stream(MASTER_SEED, "inputs").uniform(-1.0, 1.0, washout + T)
     y = narma2((u + 1.0) / 2.0)[washout:]
     settings = TipcSettings(max_degree=3, max_input_delay=8,
-                            input_range=(-1.0, 1.0), family="legendre",
-                            threshold_mode="surrogate", n_surrogates=200,
+                            family="legendre",
+                            threshold="surrogate", surrogates=200,
                             surrogate_sigma=1.2)
     prof = ipc_of_target(y, u, washout, settings,
-                         surrogate_rng=stream(MASTER_SEED, "surrogate"))
+                         surrogate_rng=stream(MASTER_SEED, "surrogate"), input_range=(-1.0, 1.0))
     caps = {t.label(): c for t, c in zip(prof.terms, prof.capacity.tolist())}
     return {"caps": caps, "elapsed": time.perf_counter() - t0}
 
@@ -279,8 +279,8 @@ def test_criterion_09_completeness_oracle():
     for t in range(1, T + 100):
         x[t] = [a[k] * x[t - 1, k] + b[k] * u[t] for k in range(2)]
     settings = TipcSettings(max_degree=1, max_input_delay=30, max_state_delay=2,
-                            input_range=(-1.0, 1.0), family="legendre")
-    prof = analyze_states(x[100:], u, 100, settings)
+                            family="legendre")
+    prof = analyze_states(x[100:], u, 100, settings, input_range=(-1.0, 1.0))
     total = sum(prof.capacity.tolist())
     ok = prof.rank == 2 and abs(total - prof.rank) <= 0.01 * prof.rank \
         and prof.c_tv_tot == 0.0
@@ -319,8 +319,8 @@ def test_ingest_profile_matches_in_memory_bit_level(tmp_path):
     sm = run_qnr(cfg, inputs)
     assert sm.data.shape == (200, 12)
     settings = TipcSettings(max_degree=2, max_input_delay=5, max_state_delay=1,
-                            input_range=(0.0, 1.0), family="legendre")
-    direct = analyze_states(sm.data[washout:], inputs, washout, settings)
+                            family="legendre")
+    direct = analyze_states(sm.data[washout:], inputs, washout, settings, input_range=(0.0, 1.0))
 
     ipath, spath = tmp_path / "inputs.csv", tmp_path / "states.csv"
     dataio.write_inputs_csv(ipath, inputs)
@@ -329,7 +329,7 @@ def test_ingest_profile_matches_in_memory_bit_level(tmp_path):
     assert np.array_equal(trace_inputs, inputs)
     assert np.array_equal(trace_states[0].data, sm.data)
     ingested = analyze_states(trace_states[0].data[washout:], trace_inputs,
-                              washout, settings)
+                              washout, settings, input_range=(0.0, 1.0))
     same = dataio.profile_to_dict(direct) == dataio.profile_to_dict(ingested)
     report("ingest bit-level equality", same and direct.rank >= 1,
            f"rank {direct.rank}, records {len(direct.terms)}, "

@@ -12,6 +12,25 @@ from qnr import config as cfgmod
 from qnr import dataio
 from qnr.cli import main
 from qnr.reservoir import StateMatrix
+from qnr.tipc import TipcSettings, analyze_states
+
+
+# (id, tipc section, key its error names); analysis_len is a config-only key
+BAD_TIPC = [pytest.param(tipc, key, id=name) for name, tipc, key in [
+    ("max_state_delay", {"max_state_delay": -1}, "max_state_delay"),
+    ("max_degree", {"max_degree": 0}, "max_degree"),
+    ("max_input_delay", {"max_input_delay": 0}, "max_input_delay"),
+    ("surrogates", {"surrogates": 0}, "surrogates"),
+    ("p-zero", {"p": 0.0}, "p"),
+    ("p-one", {"p": 1.0}, "p"),
+    ("term_cap", {"term_cap": 0}, "term_cap"),
+    ("analysis_len", {"analysis_len": 2, "max_state_delay": 2}, "analysis_len"),
+    ("sigma", {"sigma": 0.0}, "sigma"),
+    ("surrogate_sigma", {"surrogate_sigma": -1.2}, "surrogate_sigma"),
+    ("threshold", {"threshold": "surogate"}, "threshold"),
+    ("sigma-negative", {"sigma": -1.0}, "sigma"),
+    ("surrogate_sigma-zero", {"surrogate_sigma": 0.0}, "surrogate_sigma"),
+]]
 
 
 class TestConfig:
@@ -58,25 +77,48 @@ class TestConfig:
         with pytest.raises(cfgmod.ConfigError, match=r"split\.washout \+ split\.train"):
             cfgmod.assemble({"split": {"washout": 0, "train": 0, "eval": 0}})
 
-    @pytest.mark.parametrize("tipc,key", [
-        ({"max_state_delay": -1}, "max_state_delay"),
-        ({"max_degree": 0}, "max_degree"),
-        ({"max_input_delay": 0}, "max_input_delay"),
-        ({"surrogates": 0}, "surrogates"),
-        ({"p": 0.0}, "p"),
-        ({"p": 1.0}, "p"),
-        ({"term_cap": 0}, "term_cap"),
-        ({"analysis_len": 2, "max_state_delay": 2}, "analysis_len"),
-        ({"sigma": 0.0}, "sigma"),
-        ({"surrogate_sigma": -1.2}, "surrogate_sigma"),
-    ], ids=["max_state_delay", "max_degree", "max_input_delay", "surrogates",
-            "p-zero", "p-one", "term_cap", "analysis_len", "sigma",
-            "surrogate_sigma"])
+    @pytest.mark.parametrize("tipc,key", BAD_TIPC)
     def test_bad_tipc_values_name_their_key(self, tipc, key):
         # a negative max_state_delay used to shift every input factor by a
         # row; the others failed deep in tipc, or wrote empty profiles
         with pytest.raises(cfgmod.ConfigError, match=rf"tipc\.{key} "):
             cfgmod.assemble({"tipc": tipc})
+
+    @pytest.mark.parametrize("tipc,key", [c for c in BAD_TIPC if c.id != "analysis_len"])
+    def test_library_rejects_bad_tipc_values_too(self, tipc, key, rng):
+        # the library used to run these: a misspelt threshold as chi2, a
+        # negative sigma keeping every term, surrogate_sigma 0 as threshold 0
+        u = rng.uniform(0, 1, 230)
+        with pytest.raises(ValueError, match=rf"tipc\.{key} "):
+            analyze_states(rng.normal(size=(200, 2)), u, 30, TipcSettings(**tipc),
+                           surrogate_rng=rng)
+
+    def test_default_config_hashes_are_pinned(self):
+        # every manifest names this hash: renaming or reordering a field of
+        # any section, TipcSettings included, changes it
+        assert cfgmod.config_hash(cfgmod.assemble(None, preset_name="desk")) == \
+            "d7bde9660894daf289534c909c7a1deed5e722c835c518d0dfb46a0c4776f38c"
+        assert cfgmod.config_hash(cfgmod.assemble(None, preset_name="paper")) == \
+            "30504133c6129249272cb435fb0a15fceb0bc7381a490343716f1f7407eb4946"
+
+    @pytest.mark.parametrize("reservoir,key", [
+        ({"n_qubits": 3}, r"reservoir\.n_qubits"),
+        ({"n_qubits": 14}, r"reservoir\.n_qubits"),
+        ({"n_qubits": 3, "kind": "esn"}, r"reservoir\.n_qubits"),
+        ({"noise": [{"kind": "amplitude_damping", "rate": 1.5}]}, r"reservoir\.noise\[0\]\.rate"),
+        ({"noise": [{"kind": "bit_flip"}, {"kind": "amplitude_damping", "targets": [9]}]},
+         r"reservoir\.noise\[1\]\.targets"),
+        ({"masks": [512], "n_qubits": 2}, r"reservoir\.masks"),
+        ({"masks": "all", "n_qubits": 2}, r"reservoir\.masks"),
+        ({"noise": [{"kind": "entangler_two_hop"}], "n_qubits": 2},
+         r"reservoir\.noise\[0\]\.kind"),
+    ], ids=["n_qubits-odd", "n_qubits-large", "n_qubits-esn", "noise-rate", "noise-targets",
+            "masks-two-hop", "masks-all-two-hop", "noise-two-hop"])
+    def test_bad_reservoir_values_name_their_key(self, reservoir, key):
+        # each used to pass assemble and fail once the instances were
+        # built, without the key (a bare IndexError for the targets)
+        with pytest.raises(cfgmod.ConfigError, match=key):
+            cfgmod.assemble({"reservoir": reservoir})
 
     def test_preset_paper_split(self):
         cfg = cfgmod.assemble(None, preset_name="paper")
@@ -215,6 +257,20 @@ class TestCommands:
         assert metrics["reservoir"] == "qnr"
         assert metrics["n_features"] == 8
         assert 0 <= metrics["nrmse_eval"] < 5
+
+    @pytest.mark.parametrize("split,key", [
+        ({"washout": 10, "train": 0, "eval": 50}, "train_range"),
+        ({"washout": 10, "train": 50, "eval": 0}, "eval_range"),
+    ], ids=["train", "eval"])
+    def test_train_on_empty_split_writes_nothing(self, tmp_path, split, key):
+        # an empty training split used to write NaN into metrics.json and
+        # score the eval rows with a readout fitted on no rows
+        cfg = _write_cfg(tmp_path, {"split": split,
+                                    "reservoir": {"instances": 1, "masks": [1]}})
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=rf"{key} .* selects no rows"):
+            main(["train", "--config", cfg, "--out", str(out)])
+        assert not (out / "metrics.json").exists()
 
     def test_train_with_threads_matches_serial(self, tmp_path):
         payload = {

@@ -297,6 +297,12 @@ class TestReadout:
         resid = y - ro.predict(X)
         assert np.abs(X.T @ resid).max() <= 1e-8 * np.linalg.norm(y) * np.linalg.norm(X)
 
+    def test_empty_train_range_rejected(self, rng):
+        # a zero-row fit used to return zero weights and a NaN training score
+        X, y = rng.normal(size=(60, 4)), rng.normal(size=60)
+        with pytest.raises(ValueError, match=r"train_range slice\(10, 10, None\) selects no rows"):
+            fit_readout(X, y, slice(10, 10))
+
 
 class TestNrmse:
     def test_perfect_prediction(self, rng):
@@ -318,6 +324,12 @@ class TestNrmse:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             nrmse(np.ones(10), np.zeros(10))
+
+    def test_empty_eval_range_rejected(self, rng):
+        # an empty range used to score NaN
+        y = rng.normal(size=40)
+        with pytest.raises(ValueError, match=r"eval_range slice\(40, 40, None\) selects no rows"):
+            nrmse(y, y, slice(40, 40))
 
     def test_column_scaling_leaves_readout_nrmse_unchanged(self, rng):
         X = rng.normal(size=(300, 6))

@@ -448,7 +448,7 @@ class TestHouseholderSolver:
         terms = enumerate_bases(3, 6, 2, ns.rank, "legendre")
         B = evaluate_bases(terms, u, off, xhat=ns.P, start_row=2)
         B = np.insert(B, 5, B[:, 2], axis=1)
-        P = normalize_states(ns.P[2:], 1e-10, abs_floor=1e-12).P
+        P = normalize_states(ns.P[2:], abs_floor=1e-12).P
         Q, kept, dropped = reference_mgs(B)
         caps, _, _ = reference_capacities(P, B)
         res = orthonormalize(B)
@@ -761,8 +761,8 @@ class TestProfileJson:
         u, x, off = _echo_states(rng, 400)
         states = np.column_stack([x, x[:, 0] ** 2, x[:, 0] * x[:, 1]])
         settings = TipcSettings(max_degree=2, max_input_delay=4, max_state_delay=1,
-                                input_range=(-1, 1), family="legendre")
-        prof = analyze_states(states, u, off, settings)
+                                family="legendre")
+        prof = analyze_states(states, u, off, settings, input_range=(-1, 1))
         assert prof.rank == 4 and prof.threshold_params["mode"] == "chi2"
         assert 0 < prof.truncated.sum() < len(prof.terms)
         assert any(t.state_exponents for t in prof.terms)
@@ -771,9 +771,10 @@ class TestProfileJson:
     def test_surrogate_profile_with_int_param(self, rng, tmp_path):
         u, x, off = _echo_states(rng, 300)
         settings = TipcSettings(max_degree=2, max_input_delay=3, max_state_delay=1,
-                                input_range=(-1, 1), family="monomial",
-                                threshold_mode="surrogate", n_surrogates=2)
-        prof = analyze_states(x, u, off, settings, surrogate_rng=np.random.default_rng(4))
+                                family="monomial",
+                                threshold="surrogate", surrogates=2)
+        prof = analyze_states(x, u, off, settings, surrogate_rng=np.random.default_rng(4),
+                              input_range=(-1, 1))
         assert prof.threshold_params["n_surrogates"] == 2
         assert any("^2" in t.label() for t in prof.terms)
         self._check(prof, tmp_path)
@@ -787,8 +788,9 @@ class TestProfileJson:
 
 class TestAnalyzeStates:
     def test_zero_states_give_empty_profile(self, rng, tmp_path):
-        settings = TipcSettings(max_degree=1, max_input_delay=2, input_range=(0, 1))
-        prof = analyze_states(np.zeros((500, 4)), rng.uniform(0, 1, 600), 50, settings)
+        settings = TipcSettings(max_degree=1, max_input_delay=2)
+        prof = analyze_states(np.zeros((500, 4)), rng.uniform(0, 1, 600), 50, settings,
+                              input_range=(0, 1))
         assert prof.rank == 0 and prof.c_tot == 0.0 and prof.terms == []
         assert prof.capacity.size == prof.truncated.size == 0
         # the totals are floats: the files read 0.0, not 0
@@ -810,13 +812,13 @@ class TestAnalyzeStates:
         # row fewer puts the threshold above 1, the largest capacity
         x = rng.normal(size=(rows, n_cols))
         u = rng.uniform(-1, 1, rows + 10)
-        settings = TipcSettings(max_degree=1, max_input_delay=3, max_state_delay=lx,
-                                input_range=(-1, 1))
+        settings = TipcSettings(max_degree=1, max_input_delay=3, max_state_delay=lx)
         with pytest.raises(ValueError, match=rf"{rows - lx} analysed rows .* rank "
                            rf"{n_cols}: it is 1\.0\d+, .* at least {need} rows "
                            rf"\(after {lx} state-history rows\).*tipc\.analysis_len"):
-            analyze_states(x, u, 10, settings)
-        prof = analyze_states(rng.normal(size=(rows + 1, n_cols)), u, 9, settings)
+            analyze_states(x, u, 10, settings, input_range=(-1, 1))
+        prof = analyze_states(rng.normal(size=(rows + 1, n_cols)), u, 9, settings,
+                              input_range=(-1, 1))
         assert prof.rank == n_cols and prof.threshold <= 1.0
 
     def test_linear_echo_completeness(self, rng):
@@ -824,9 +826,8 @@ class TestAnalyzeStates:
         # sum saturates the rank and every component is time-invariant
         u, x, off = _echo_states(rng, 4000)
         settings = TipcSettings(max_degree=1, max_input_delay=30,
-                                max_state_delay=2, input_range=(-1, 1),
-                                family="legendre")
-        prof = analyze_states(x, u, off, settings)
+                                max_state_delay=2, family="legendre")
+        prof = analyze_states(x, u, off, settings, input_range=(-1, 1))
         assert prof.rank == 2
         untruncated = sum(prof.capacity)
         assert untruncated == pytest.approx(2.0, rel=0.01)
@@ -839,9 +840,8 @@ class TestAnalyzeStates:
         u = rng.uniform(-1, 1, size=600)
         x = u[100:].reshape(-1, 1).copy()
         settings = TipcSettings(max_degree=1, max_input_delay=3,
-                                max_state_delay=0, input_range=(-1, 1),
-                                family="legendre")
-        prof = analyze_states(x, u, 100, settings)
+                                max_state_delay=0, family="legendre")
+        prof = analyze_states(x, u, 100, settings, input_range=(-1, 1))
         top = int(np.argmax(prof.capacity))
         assert prof.terms[top].label() == "P1(u[t])"
         assert prof.capacity[top] == pytest.approx(1.0, abs=1e-8)
@@ -850,8 +850,8 @@ class TestAnalyzeStates:
         u, x, off = _echo_states(rng, 3000)
         shuffled = u[rng.permutation(len(u))]
         settings = TipcSettings(max_degree=1, max_input_delay=10,
-                                max_state_delay=0, input_range=(-1, 1))
-        prof = analyze_states(x, shuffled, off, settings)
+                                max_state_delay=0)
+        prof = analyze_states(x, shuffled, off, settings, input_range=(-1, 1))
         assert prof.c_tiv_tot == 0.0  # nothing survives the threshold
 
     def test_chi2_threshold_calibration_with_sigma_one(self, rng):
@@ -882,9 +882,8 @@ class TestAnalyzeStates:
         u, x, off = _echo_states(rng, 30)
         # p = 1e-2 keeps the rank-2 chi2 threshold (18.4 / 28) under 1
         settings = TipcSettings(max_degree=2, max_input_delay=6,
-                                max_state_delay=2, input_range=(-1, 1),
-                                family="legendre", p=1e-2)
-        prof = analyze_states(x, u, off, settings)
+                                max_state_delay=2, family="legendre", p=1e-2)
+        prof = analyze_states(x, u, off, settings, input_range=(-1, 1))
         terms = enumerate_bases(2, 6, 2, prof.rank, "legendre")
         (ortho,) = seen
         assert len(terms) > ortho.n_rows
@@ -930,11 +929,10 @@ class TestSurrogateMode:
     def test_analyze_states_with_surrogate_threshold(self, rng):
         u, x, off = _echo_states(rng, 600)
         settings = TipcSettings(max_degree=1, max_input_delay=4,
-                                max_state_delay=1, input_range=(-1, 1),
-                                family="legendre", threshold_mode="surrogate",
-                                n_surrogates=5, surrogate_sigma=1.2)
+                                max_state_delay=1, family="legendre", threshold="surrogate",
+                                surrogates=5, surrogate_sigma=1.2)
         prof = analyze_states(x, u, off, settings,
-                              surrogate_rng=np.random.default_rng(3))
+                              surrogate_rng=np.random.default_rng(3), input_range=(-1, 1))
         assert prof.threshold_params["mode"] == "surrogate"
         assert prof.c_tiv_tot > 0.5  # the echo structure survives thresholding
 
@@ -953,18 +951,19 @@ class TestSurrogateMode:
         monkeypatch.setattr(tipc, "evaluate_bases", spy)
         u, x, off = _echo_states(rng, 600)
         settings = TipcSettings(max_degree=2, max_input_delay=4, max_state_delay=1,
-                                input_range=(-1, 1), family="legendre",
-                                threshold_mode="surrogate", n_surrogates=3)
-        analyze_states(x, u, off, settings, surrogate_rng=np.random.default_rng(3))
+                                family="legendre",
+                                threshold="surrogate", surrogates=3)
+        analyze_states(x, u, off, settings, surrogate_rng=np.random.default_rng(3),
+                       input_range=(-1, 1))
         assert len(alive) == 4
         assert all(ref() is None for ref in alive)
 
     def test_surrogate_mode_requires_rng(self, rng):
         u, x, off = _echo_states(rng, 400)
         settings = TipcSettings(max_degree=1, max_input_delay=3,
-                                input_range=(-1, 1), threshold_mode="surrogate")
+                                threshold="surrogate")
         with pytest.raises(ValueError, match="rng"):
-            analyze_states(x, u, off, settings)
+            analyze_states(x, u, off, settings, input_range=(-1, 1))
 
 
 class TestIpcOfTarget:
@@ -972,8 +971,8 @@ class TestIpcOfTarget:
         u = rng.uniform(-1, 1, size=1300)
         y = u[299:1299]  # y_t = u_{t-1}
         settings = TipcSettings(max_degree=2, max_input_delay=4,
-                                input_range=(-1, 1), family="legendre")
-        prof = ipc_of_target(y, u, 300, settings)
+                                family="legendre")
+        prof = ipc_of_target(y, u, 300, settings, input_range=(-1, 1))
         assert prof.rank == 1
         top = int(np.argmax(prof.capacity))
         assert prof.terms[top].label() == "P1(u[t-1])"
@@ -986,8 +985,8 @@ class TestIpcOfTarget:
         u = rng.uniform(-1, 1, size=1300)
         y = u[299:1299] ** 2
         settings = TipcSettings(max_degree=3, max_input_delay=3,
-                                input_range=(-1, 1), family="legendre")
-        prof = ipc_of_target(y, u, 300, settings)
+                                family="legendre")
+        prof = ipc_of_target(y, u, 300, settings, input_range=(-1, 1))
         by_label = {t.label(): c for t, c in zip(prof.terms, prof.capacity)}
         assert by_label["P2(u[t-1])"] == pytest.approx(1.0, abs=0.02)
         assert sum(prof.capacity) == pytest.approx(1.0, abs=1e-9)
