@@ -21,7 +21,7 @@ import yaml
 
 from .noise import ENTANGLER_TWO_HOP, NOISE_KINDS, NoiseSpec, specs_from_mask
 from .qsim import MAX_QUBITS
-from .reservoir import EsnConfig, QnrConfig, benchmark_masks
+from .reservoir import DAMPING_MASKS, EsnConfig, QnrConfig, benchmark_masks
 from .rng import stream
 from .tipc import TipcSettings
 
@@ -91,6 +91,9 @@ class ReservoirSpec:
                               f"[2, {MAX_QUBITS}], got {n!r}")
         if self.instances < 1:
             raise ConfigError("reservoir.instances must be >= 1")
+        if self.masks is None and self.noise is None and self.instances > len(DAMPING_MASKS):
+            raise ConfigError(f"reservoir.instances must be at most {len(DAMPING_MASKS)}, the "
+                              f"number of damping masks, got {self.instances}")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ConfigError("reservoir.noise_rate must be in [0, 1]")
         n_masks = 2 ** len(NOISE_KINDS)
@@ -112,6 +115,10 @@ class ReservoirSpec:
             if entry.get("kind") not in NOISE_KINDS:
                 raise ConfigError(f"reservoir.noise[{i}].kind: unknown noise kind "
                                   f"{entry.get('kind')!r}")
+            kinds = [e["kind"] for e in self.noise[:i]]
+            if entry["kind"] in kinds:
+                raise ConfigError(f"reservoir.noise[{i}].kind: {entry['kind']!r} repeats "
+                                  f"reservoir.noise[{kinds.index(entry['kind'])}]")
             if entry["kind"] == ENTANGLER_TWO_HOP and n < 3:
                 raise ConfigError(f"reservoir.noise[{i}].kind: {ENTANGLER_TWO_HOP} "
                                   f"needs at least 3 qubits, n_qubits is {n}")

@@ -373,13 +373,16 @@ def nrmse(y: Sequence[float], yhat: Sequence[float],
     return float(np.sqrt(np.mean((y - yhat) ** 2)) / sigma)
 
 
+# The noise masks, ascending, that include amplitude damping (bit 0); damping
+# is the only kind that induces time-invariant capacity.
+DAMPING_MASKS = tuple(m for m in range(1, 1024) if m & 1)
+
+
 def benchmark_masks(count: int) -> List[int]:
-    """First `count` noise masks, ascending, that include amplitude damping
-    (bit 0); damping is the only kind that induces time-invariant capacity."""
-    masks = [m for m in range(1, 1024) if m & 1]
-    if count > len(masks):
-        raise ValueError(f"at most {len(masks)} damping masks exist")
-    return masks[:count]
+    """The first `count` of ``DAMPING_MASKS``."""
+    if count > len(DAMPING_MASKS):
+        raise ValueError(f"at most {len(DAMPING_MASKS)} damping masks exist")
+    return list(DAMPING_MASKS[:count])
 
 
 # ---------------------------------------------------------------------------

@@ -29,20 +29,28 @@ column-major basis in place; any other basis, or one whose Gram factor
 fails its condition or pivot check, by one LAPACK Householder QR; and falls
 back to modified Gram-Schmidt when a QR pivot lies under twice the drop
 floor, so keep/drop decisions are Gram-Schmidt's.  Q is never formed:
-``capacities`` applies Q^T from the factor.  ``scipy.linalg`` is imported
-only where it is called: every ``qnr`` command imports this module, and
-``train``, ``esp`` and ``simulate`` never call it.  Its import costs
-0.23-0.32 s and 22 MiB per process (2-core Xeon VM, scipy 1.17), mostly
-because scipy's array-API shim imports ``numpy.f2py``, ``numpy.testing``
-and ``numpy.ma``.  ``scipy.special`` is not used: the Legendre polynomials
-and the chi-squared quantile are ported to numpy and ``math`` below.
+``capacities`` applies Q^T from the factor.  The solvers call seven
+compiled functions of scipy (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``,
+``dgeqrf``, ``dgeqrf_lwork``, ``dormqr``), which ``_blas_lapack`` loads on
+first use from scipy's ``linalg/_fblas`` and ``linalg/_flapack`` extension
+files: every ``qnr`` command imports this module, and ``train``, ``esp``
+and ``simulate`` never call them.  That load, ``import scipy`` included,
+takes 0.016-0.019 s and 4 MiB after numpy (2-core Xeon VM, scipy 1.17).
+The ``scipy.linalg`` package, which holds the public wrappers, would cost
+another 0.18-0.28 s and 22 MiB per process, mostly because scipy's
+array-API shim imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.  ``scipy.special`` is not used: the
+Legendre polynomials and the chi-squared quantile are ported to numpy and
+``math`` below.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -323,6 +331,32 @@ _GRAM_MAX_COND = 64.0
 _GRAM_MIN_ROWS_PER_COLUMN = 8
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_lapack():
+    """scipy's compiled BLAS and LAPACK wrappers, as the modules (blas, lapack).
+
+    They are loaded from their files under their own dotted names, without
+    running ``scipy/linalg/__init__.py``.  CPython keeps one copy of such an
+    extension per (name, file), so a later ``import scipy.linalg`` finds
+    these modules and its ``blas.dsyrk`` and ``lapack.dgeqrf`` are the same
+    functions.
+    """
+    import scipy
+    where = os.path.join(scipy.__path__[0], "linalg")
+    modules = []
+    for name in ("_fblas", "_flapack"):
+        paths = [os.path.join(where, name + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"no {name} extension in {where} (scipy {scipy.__version__})")
+        spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        modules.append(module)
+    return tuple(modules)
+
+
 @dataclass
 class Orthonormalized:
     """Result of the sequential orthonormalization of the basis matrix.
@@ -348,7 +382,7 @@ class Orthonormalized:
         kind, *factor = self._factor
         if kind == "gram_schmidt":
             return factor[0].T @ P
-        from scipy.linalg import lapack
+        _, lapack = _blas_lapack()
         if kind == "householder":
             F, tau = factor
             lwork = int(lapack.dormqr("L", "T", F, tau, P, -1)[1][0])
@@ -415,7 +449,7 @@ def _cholesky(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
     T, B = A.shape
     if B == 0 or T < _GRAM_MIN_ROWS_PER_COLUMN * B:
         return None
-    from scipy.linalg import blas, lapack
+    blas, lapack = _blas_lapack()
     a, trans = (A, 1) if A.flags.f_contiguous else (A.T, 0)
     G = np.zeros((1 + B, 1 + B), order="F")
     G[1:, 1:] = blas.dsyrk(1.0, a, trans=trans)
@@ -441,7 +475,7 @@ def _householder(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
     m = min(B, T - 1)
     if m == 0:
         return None
-    from scipy.linalg import lapack
+    _, lapack = _blas_lapack()
     F = np.empty((T, 1 + m), order="F")
     F[:, 0] = 1.0 / np.sqrt(T)
     F[:, 1:] = A[:, :m]

@@ -112,8 +112,12 @@ class TestConfig:
         ({"masks": "all", "n_qubits": 2}, r"reservoir\.masks"),
         ({"noise": [{"kind": "entangler_two_hop"}], "n_qubits": 2},
          r"reservoir\.noise\[0\]\.kind"),
+        ({"instances": 600}, r"reservoir\.instances must be at most 512"),
+        ({"noise": [{"kind": "bit_flip"}, {"kind": "bit_flip", "rate": 0.2}]},
+         r"reservoir\.noise\[1\]\.kind"),
     ], ids=["n_qubits-odd", "n_qubits-large", "n_qubits-esn", "noise-rate", "noise-targets",
-            "masks-two-hop", "masks-all-two-hop", "noise-two-hop"])
+            "masks-two-hop", "masks-all-two-hop", "noise-two-hop", "instances-damping",
+            "noise-repeated-kind"])
     def test_bad_reservoir_values_name_their_key(self, reservoir, key):
         # each used to pass assemble and fail once the instances were
         # built, without the key (a bare IndexError for the targets)

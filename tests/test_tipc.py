@@ -1,5 +1,7 @@
 """Capacity-analysis tests: SVD normalization, basis machinery, thresholds."""
 
+import importlib.machinery
+import inspect
 import itertools
 import json
 import math
@@ -488,7 +490,8 @@ class TestHouseholderSolver:
 
 
     def test_capacity_commands_leave_scipy_special_out(self, tmp_path):
-        # the Legendre factors and the chi2 quantile are ported from it
+        # the Legendre factors and the chi2 quantile are ported from it, and
+        # the solver loads scipy's BLAS/LAPACK wrappers without scipy.linalg
         src = os.path.dirname(os.path.dirname(tipc.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         tipc_cfg = {"reservoir": {"instances": 1, "masks": [1]},
@@ -504,6 +507,7 @@ class TestHouseholderSolver:
             "for name in ('tipc', 'ipc'):\n"
             f"    cli.main([name, '--config', {str(tmp_path)!r} + f'/{{name}}.yaml',\n"
             f"              '--out', {str(tmp_path)!r} + f'/out_{{name}}'])\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
             "print([m for m in sys.modules if m.startswith('scipy.special')])\n")
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
@@ -511,6 +515,50 @@ class TestHouseholderSolver:
         profile_json = json.loads((tmp_path / "out_ipc" / "ipc_profile.json").read_text())
         assert profile_json["records"][0]["family"] == "legendre"
         assert (tmp_path / "out_tipc" / "profile_m0001.json").exists()
+
+    def test_loaded_wrappers_match_scipy_linalg_loaded_after(self):
+        src = os.path.dirname(os.path.dirname(tipc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        script = (
+            "import sys\nimport numpy as np\nfrom qnr import tipc\n"
+            + inspect.getsource(_solver_calls) +
+            "loaded = _solver_calls(*tipc._blas_lapack())\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "reference = _solver_calls(scipy.linalg.blas, scipy.linalg.lapack)\n"
+            "print(all(a.tobytes() == b.tobytes() for a, b in zip(loaded, reference)),\n"
+            "      scipy.linalg.lapack.dgeqrf is tipc._blas_lapack()[1].dgeqrf)\n")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True True"
+
+    def test_loaded_wrappers_match_scipy_linalg_loaded_before(self):
+        import scipy.linalg
+        tipc._blas_lapack.cache_clear()
+        loaded = _solver_calls(*tipc._blas_lapack())
+        reference = _solver_calls(scipy.linalg.blas, scipy.linalg.lapack)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(loaded, reference))
+
+    def test_missing_wrapper_file_names_directory_and_version(self, monkeypatch):
+        import scipy
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        tipc._blas_lapack.cache_clear()
+        with pytest.raises(ImportError, match=rf"no _fblas extension in .*linalg "
+                                              rf"\(scipy {scipy.__version__}\)"):
+            tipc._blas_lapack()
+
+
+def _solver_calls(blas, lapack):
+    """Outputs of the solver's seven compiled functions on one random input."""
+    rng = np.random.default_rng(11)
+    A = np.asfortranarray(rng.normal(size=(40, 6)))
+    G = blas.dsyrk(1.0, A, trans=1)
+    R, _ = lapack.dpotrf(G)
+    F, tau, _, _ = lapack.dgeqrf(A, lwork=int(lapack.dgeqrf_lwork(40, 6)[0]))
+    lwork = int(lapack.dormqr("L", "T", F, tau, A, -1)[1][0])
+    outs = [G, R, lapack.dtrcon(R)[0], lapack.dtrtrs(R, A.T[:, :3], trans=1)[0],
+            F, tau, lapack.dormqr("L", "T", F, tau, A, lwork)[0]]
+    return [np.asarray(x) for x in outs]
 
 
 class TestCholeskySolver:
