@@ -10,6 +10,7 @@ serialization identifies a config in every manifest the tools write.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -19,15 +20,24 @@ from typing import Dict, List, Optional
 
 import yaml
 
-from .noise import ENTANGLER_TWO_HOP, NOISE_KINDS, NoiseSpec, specs_from_mask
-from .qsim import MAX_QUBITS
-from .reservoir import DAMPING_MASKS, EsnConfig, QnrConfig, benchmark_masks
+from .noise import NoiseSpec, specs_from_mask
+from .reservoir import EsnConfig, QnrConfig, benchmark_masks
 from .rng import stream
 from .tipc import TipcSettings
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key path."""
+
+
+@contextlib.contextmanager
+def _key(path: str):
+    """Re-raise a library ValueError, which names its field, as a ConfigError
+    under the key path in front of it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{path}{exc}") from None
 
 
 @dataclass
@@ -84,52 +94,27 @@ class ReservoirSpec:
     def validate(self):
         if self.kind not in ("qnr", "esn"):
             raise ConfigError(f"reservoir.kind must be qnr or esn, got {self.kind!r}")
-        # checked for esn too: `qnr esp` builds a qubit register from it
-        n = self.n_qubits
-        if not (type(n) is int and n % 2 == 0 and 2 <= n <= MAX_QUBITS):
-            raise ConfigError(f"reservoir.n_qubits must be an even integer in "
-                              f"[2, {MAX_QUBITS}], got {n!r}")
         if self.instances < 1:
             raise ConfigError("reservoir.instances must be >= 1")
-        if self.masks is None and self.noise is None and self.instances > len(DAMPING_MASKS):
-            raise ConfigError(f"reservoir.instances must be at most {len(DAMPING_MASKS)}, the "
-                              f"number of damping masks, got {self.instances}")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ConfigError("reservoir.noise_rate must be in [0, 1]")
-        n_masks = 2 ** len(NOISE_KINDS)
-        if self.masks not in (None, "all") and not (
-                isinstance(self.masks, (list, tuple))
-                and all(type(m) is int and 0 <= m < n_masks for m in self.masks)):
-            raise ConfigError(f"reservoir.masks must be null, \"all\" or a list of "
-                              f"integers in [0, {n_masks - 1}], got {self.masks!r}")
-        # the 2-hop entangler couples qubits j and j + 2
-        two_hop = 1 << NOISE_KINDS.index(ENTANGLER_TWO_HOP)
-        if self.masks is not None and n < 3 and any(m & two_hop for m in self.mask_list()):
-            raise ConfigError(f"reservoir.masks: {ENTANGLER_TWO_HOP} (mask bit {two_hop}) "
-                              f"needs at least 3 qubits, n_qubits is {n}")
+        if not (self.masks in (None, "all") or isinstance(self.masks, (list, tuple))):
+            raise ConfigError(f"reservoir.masks must be null, \"all\" or a list of masks, "
+                              f"got {self.masks!r}")
         for i, entry in enumerate(self.noise or []):
-            keys = set(entry)
-            if not keys <= {"kind", "rate", "targets"}:
-                raise ConfigError(f"reservoir.noise entries allow kind/rate/targets, "
-                                  f"got {sorted(keys)}")
-            if entry.get("kind") not in NOISE_KINDS:
-                raise ConfigError(f"reservoir.noise[{i}].kind: unknown noise kind "
-                                  f"{entry.get('kind')!r}")
-            kinds = [e["kind"] for e in self.noise[:i]]
-            if entry["kind"] in kinds:
-                raise ConfigError(f"reservoir.noise[{i}].kind: {entry['kind']!r} repeats "
-                                  f"reservoir.noise[{kinds.index(entry['kind'])}]")
-            if entry["kind"] == ENTANGLER_TWO_HOP and n < 3:
-                raise ConfigError(f"reservoir.noise[{i}].kind: {ENTANGLER_TWO_HOP} "
-                                  f"needs at least 3 qubits, n_qubits is {n}")
-            rate = entry.get("rate", self.noise_rate)
-            if not (type(rate) in (int, float) and 0.0 <= rate <= 1.0):
-                raise ConfigError(f"reservoir.noise[{i}].rate must be in [0, 1], got {rate!r}")
-            targets = entry.get("targets", [])
-            if not (isinstance(targets, (list, tuple))
-                    and all(type(q) is int and 0 <= q < n for q in targets)):
-                raise ConfigError(f"reservoir.noise[{i}].targets must be a list of qubits "
-                                  f"in [0, {n - 1}], got {targets!r}")
+            if not (isinstance(entry, dict) and "kind" in entry
+                    and set(entry) <= {"kind", "rate", "targets"}):
+                raise ConfigError(f"reservoir.noise[{i}] must be a mapping of kind and "
+                                  f"optional rate and targets, got {entry!r}")
+        # the rest is checked by building what the run builds, for esn too:
+        # `qnr esp` builds a qubit register from n_qubits
+        specs = self.explicit_specs()
+        with _key("reservoir."):
+            QnrConfig(self.n_qubits, noise=specs)
+            masks = self.mask_list()
+        for i, mask in enumerate(masks):
+            with _key(f"reservoir.masks[{i}]: "):
+                QnrConfig(self.n_qubits, noise=specs_from_mask(mask, self.noise_rate))
 
     def mask_list(self) -> List[int]:
         if self.noise is not None:
@@ -141,11 +126,12 @@ class ReservoirSpec:
         return list(self.masks)
 
     def explicit_specs(self) -> List[NoiseSpec]:
-        return [
-            NoiseSpec(e["kind"], float(e.get("rate", self.noise_rate)),
-                      tuple(e["targets"]) if "targets" in e else "all")
-            for e in (self.noise or [])
-        ]
+        specs = []
+        for i, e in enumerate(self.noise or []):
+            with _key(f"reservoir.noise[{i}]."):
+                specs.append(NoiseSpec(e["kind"], e.get("rate", self.noise_rate),
+                                       e.get("targets", "all")))
+        return specs
 
 
 @dataclass
@@ -158,10 +144,15 @@ class EsnSpec:
     configurations: int = 10
 
     def validate(self):
-        if self.n_nodes < 1:
-            raise ConfigError("esn.n_nodes must be >= 1")
         if self.configurations < 1:
             raise ConfigError("esn.configurations must be >= 1")
+        with _key("esn."):
+            self.instance(seed=0)
+
+    def instance(self, seed: int) -> EsnConfig:
+        """The library config of one weight draw."""
+        return EsnConfig(self.n_nodes, self.spectral_radius, self.input_scaling,
+                         self.internal_prob, self.input_prob, seed)
 
 
 @dataclass
@@ -170,10 +161,8 @@ class TipcSpec(TipcSettings):
     analysis_len: int = 2000
 
     def validate(self):
-        try:
+        with _key(""):
             super().validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.analysis_len <= self.max_state_delay:
             raise ConfigError("tipc.analysis_len must exceed tipc.max_state_delay")
         if self.washout < self.max_input_delay:
@@ -225,6 +214,8 @@ class ExperimentConfig:
     def validate(self):
         if self.task not in ("narma2", "csv_target"):
             raise ConfigError(f"task must be narma2 or csv_target, got {self.task!r}")
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         for section in (self.input, self.split, self.reservoir, self.esn,
@@ -257,27 +248,7 @@ class ExperimentConfig:
         )
 
     def esn_instance(self, k: int) -> EsnConfig:
-        esn_seed = int(stream(self.seed, "esn", k).integers(0, 2**63))
-        return EsnConfig(
-            n_nodes=self.esn.n_nodes,
-            spectral_radius=self.esn.spectral_radius,
-            input_scaling=self.esn.input_scaling,
-            internal_prob=self.esn.internal_prob,
-            input_prob=self.esn.input_prob,
-            seed=esn_seed,
-        )
-
-
-_SECTIONS = {
-    "input": InputSpec,
-    "split": SplitSpec,
-    "reservoir": ReservoirSpec,
-    "esn": EsnSpec,
-    "tipc": TipcSpec,
-    "esp": EspSpec,
-    "target": TargetSpec,
-    "ingest": IngestSpec,
-}
+        return self.esn.instance(int(stream(self.seed, "esn", k).integers(0, 2**63)))
 
 
 def _build(cls, data: dict, path: str):
@@ -293,17 +264,14 @@ def _build(cls, data: dict, path: str):
 def from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    top_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - top_fields
+    # a section is a field whose default is built by a dataclass
+    factory = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(data) - set(factory)
     if unknown:
         raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build(_SECTIONS[key], value, key)
-        else:
-            kwargs[key] = value
-    cfg = ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**{
+        key: _build(factory[key], value, key) if dataclasses.is_dataclass(factory[key]) else value
+        for key, value in data.items()})
     cfg.validate()
     return cfg
 
@@ -368,12 +336,10 @@ def assemble(file_dict: Optional[dict] = None, preset_name: str = "desk",
     merged = preset(preset_name)
     if file_dict:
         merged = _deep_merge(merged, file_dict)
-    cfg = from_dict(merged)
     if seed is not None:
-        cfg.seed = int(seed)
+        merged["seed"] = int(seed)
     if out is not None:
-        cfg.out = out
+        merged["out"] = out
     if threads is not None:
-        cfg.threads = int(threads)
-    cfg.validate()
-    return cfg
+        merged["threads"] = int(threads)
+    return from_dict(merged)

@@ -13,6 +13,7 @@ sampled once at compile time and frozen for the lifetime of the reservoir.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -47,6 +48,16 @@ NOISE_KINDS = (
 DECOHERENCE_KINDS = NOISE_KINDS[:5]
 
 
+def is_int(x) -> bool:
+    """True for an integer, numpy's included, that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """True for a real number, numpy's included, that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """One noise channel: kind, rate (p, gamma or eps_max), target qubits."""
@@ -57,19 +68,31 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
+            raise ValueError(f"kind: unknown noise kind {self.kind!r}")
+        if not (is_real(self.rate) and 0.0 <= self.rate <= 1.0):
+            raise ValueError(f"rate must be a number in [0, 1], got {self.rate!r}")
         if self.targets != "all":
-            object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
+            if not (isinstance(self.targets, (list, tuple)) and all(map(is_int, self.targets))):
+                raise ValueError(f"targets must be \"all\" or a list of integer qubits, "
+                                 f"got {self.targets!r}")
+            object.__setattr__(self, "targets", tuple(self.targets))
 
-    def resolve_targets(self, n_qubits: int) -> Tuple[int, ...]:
-        if self.targets == "all":
-            return tuple(range(n_qubits))
-        for q in self.targets:
-            if not 0 <= q < n_qubits:
-                raise IndexError(f"noise target {q} out of range")
-        return self.targets
+
+def check_specs(specs: Sequence[NoiseSpec], n_qubits: int):
+    """Check a noise list against an n-qubit register: no kind repeats, every
+    target lies in the register, and a 2-hop entangler has qubits j, j + 2."""
+    first = {}
+    for i, spec in enumerate(specs):
+        if spec.kind in first:
+            raise ValueError(f"noise[{i}].kind: duplicate noise kind {spec.kind!r} "
+                             f"(noise[{first[spec.kind]}])")
+        first[spec.kind] = i
+        if spec.kind == ENTANGLER_TWO_HOP and n_qubits < 3:
+            raise ValueError(f"noise[{i}].kind: {ENTANGLER_TWO_HOP} needs at least 3 qubits, "
+                             f"n_qubits is {n_qubits}")
+        if spec.targets != "all" and not all(0 <= q < n_qubits for q in spec.targets):
+            raise ValueError(f"noise[{i}].targets must be qubits in [0, {n_qubits - 1}], "
+                             f"got {list(spec.targets)}")
 
 
 def _rate_check(p: float):
@@ -202,16 +225,14 @@ class CompiledNoise:
 
 def compile_noise(specs: Sequence[NoiseSpec], n_qubits: int, seed: int) -> CompiledNoise:
     """Compile specs into a CompiledNoise; pure function of (specs, n, seed)."""
-    kinds = [s.kind for s in specs]
-    if len(set(kinds)) != len(kinds):
-        dup = sorted({k for k in kinds if kinds.count(k) > 1})
-        raise ValueError(f"duplicate noise kinds: {dup}")
+    check_specs(specs, n_qubits)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     compiled = CompiledNoise()
     for spec in specs:
         if spec.kind in DECOHERENCE_KINDS:
             kraus = KRAUS_FACTORIES[spec.kind](spec.rate)
-            compiled.decoherence.append((spec.kind, kraus, spec.resolve_targets(n_qubits)))
+            targets = tuple(range(n_qubits)) if spec.targets == "all" else spec.targets
+            compiled.decoherence.append((spec.kind, kraus, targets))
         else:
             # one uniform draw per qubit per coherent spec, in listed order
             compiled.sampled_epsilons[spec.kind] = sample_epsilons(spec.rate, n_qubits, rng)
@@ -226,6 +247,7 @@ def compile_noise(specs: Sequence[NoiseSpec], n_qubits: int, seed: int) -> Compi
 
 def specs_from_mask(mask: int, rate: float) -> List[NoiseSpec]:
     """Noise list for a 10-bit instance mask; bit k activates NOISE_KINDS[k]."""
-    if not 0 <= mask < 2 ** len(NOISE_KINDS):
-        raise ValueError(f"mask must fit in {len(NOISE_KINDS)} bits, got {mask}")
+    if not (is_int(mask) and 0 <= mask < 2 ** len(NOISE_KINDS)):
+        raise ValueError(f"mask must be an integer in [0, {2 ** len(NOISE_KINDS) - 1}], "
+                         f"got {mask!r}")
     return [NoiseSpec(NOISE_KINDS[b], rate) for b in range(len(NOISE_KINDS)) if mask >> b & 1]

@@ -30,7 +30,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import qsim
-from .noise import NoiseSpec, compile_noise, CNOT_BIAS, OVER_ROTATION_RX, OVER_ROTATION_RZ
+from .noise import (NoiseSpec, check_specs, compile_noise, is_int, is_real, CNOT_BIAS,
+                    OVER_ROTATION_RX, OVER_ROTATION_RZ)
 from .rng import stream
 
 
@@ -44,10 +45,11 @@ class QnrConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_qubits % 2 != 0:
-            raise ValueError("n_qubits must be even")
-        if not 2 <= self.n_qubits <= qsim.MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [2, {qsim.MAX_QUBITS}]")
+        n = self.n_qubits
+        if not (is_int(n) and n % 2 == 0 and 2 <= n <= qsim.MAX_QUBITS):
+            raise ValueError(f"n_qubits must be an even integer in [2, {qsim.MAX_QUBITS}], "
+                             f"got {n!r}")
+        check_specs(self.noise, n)
 
 
 @dataclass
@@ -60,6 +62,17 @@ class EsnConfig:
     internal_prob: float = 0.5
     input_prob: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        if not (is_int(self.n_nodes) and self.n_nodes >= 1):
+            raise ValueError(f"n_nodes must be an integer >= 1, got {self.n_nodes!r}")
+        if not (is_real(self.spectral_radius) and self.spectral_radius >= 0.0):
+            raise ValueError(f"spectral_radius must be a number >= 0, "
+                             f"got {self.spectral_radius!r}")
+        for key in ("internal_prob", "input_prob"):
+            p = getattr(self, key)
+            if not (is_real(p) and 0.0 <= p <= 1.0):
+                raise ValueError(f"{key} must be a number in [0, 1], got {p!r}")
 
 
 @dataclass
@@ -378,11 +391,12 @@ def nrmse(y: Sequence[float], yhat: Sequence[float],
 DAMPING_MASKS = tuple(m for m in range(1, 1024) if m & 1)
 
 
-def benchmark_masks(count: int) -> List[int]:
-    """The first `count` of ``DAMPING_MASKS``."""
-    if count > len(DAMPING_MASKS):
-        raise ValueError(f"at most {len(DAMPING_MASKS)} damping masks exist")
-    return list(DAMPING_MASKS[:count])
+def benchmark_masks(instances: int) -> List[int]:
+    """The first `instances` of ``DAMPING_MASKS``."""
+    if not (is_int(instances) and 0 <= instances <= len(DAMPING_MASKS)):
+        raise ValueError(f"instances must be at most {len(DAMPING_MASKS)}, the number of "
+                         f"damping masks, and a non-negative integer; got {instances!r}")
+    return list(DAMPING_MASKS[:instances])
 
 
 # ---------------------------------------------------------------------------

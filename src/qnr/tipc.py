@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .noise import is_int, is_real
 from .reservoir import StateMatrix
 
 # State directions with singular value below this times the largest are dropped.
@@ -225,8 +226,17 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     if n_rows is None:
         raise ValueError("n_rows required when no normalized states are given")
     max_in_delay = max((s for t in terms for s, _ in t.input_exponents), default=1)
-    if input_offset + start_row - max_in_delay + 1 < 0:
+    first = input_offset + start_row - max_in_delay + 1
+    end = input_offset + start_row + n_rows
+    if first < 0:
         raise ValueError("not enough input history for the requested delays")
+    if end > len(inputs):
+        raise ValueError(f"inputs of shape {inputs.shape} are too short for {n_rows} state "
+                         f"rows from row {start_row} at input_offset {input_offset}: "
+                         f"they need {end} inputs")
+    if not np.isfinite(inputs[first:end]).all():
+        raise ValueError(f"inputs of shape {inputs.shape} hold NaN or Inf in the window "
+                         f"[{first}, {end}) that {n_rows} state rows read")
     lo, hi = input_range
     legendre = any(t.family == "legendre" for t in terms)
     if legendre:
@@ -738,16 +748,21 @@ class TipcSettings:
         if self.threshold not in ("chi2", "surrogate"):
             raise ValueError(f"tipc.threshold invalid: {self.threshold!r}")
         for key in ("max_degree", "max_input_delay", "surrogates", "term_cap"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"tipc.{key} must be >= 1")
-        if self.max_state_delay < 0:
-            raise ValueError("tipc.max_state_delay must be >= 0")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("tipc.p must be in (0, 1)")
-        # a threshold <= 0 would keep every term, noise included
-        for key in ("sigma", "surrogate_sigma"):
-            if not getattr(self, key) > 0.0:
-                raise ValueError(f"tipc.{key} must be > 0")
+            value = getattr(self, key)
+            if not (is_int(value) and value >= 1):
+                raise ValueError(f"tipc.{key} must be an integer >= 1, got {value!r}")
+        if not (is_int(self.max_state_delay) and self.max_state_delay >= 0):
+            raise ValueError(f"tipc.max_state_delay must be an integer >= 0, "
+                             f"got {self.max_state_delay!r}")
+        # a sigma <= 0 would make a threshold <= 0, keeping every term, noise included
+        for key, high in (("p", 1.0), ("sigma", math.inf), ("surrogate_sigma", math.inf)):
+            value = getattr(self, key)
+            if not (is_real(value) and 0.0 < value < high):
+                # YAML 1.1 reads an exponent without a decimal point as a string
+                hint = (f"; YAML reads {value} as a string, write a decimal point as in "
+                        "1.0e-4" if isinstance(value, str) else "")
+                raise ValueError(f"tipc.{key} must be a number in (0, {high:g}), "
+                                 f"got {value!r}{hint}")
 
 
 def analyze_states(states, inputs: np.ndarray, input_offset: int,

@@ -11,7 +11,8 @@ from qnr import cli
 from qnr import config as cfgmod
 from qnr import dataio
 from qnr.cli import main
-from qnr.reservoir import StateMatrix
+from qnr.noise import NoiseSpec, specs_from_mask
+from qnr.reservoir import EsnConfig, QnrConfig, StateMatrix, benchmark_masks
 from qnr.tipc import TipcSettings, analyze_states
 
 
@@ -30,6 +31,33 @@ BAD_TIPC = [pytest.param(tipc, key, id=name) for name, tipc, key in [
     ("threshold", {"threshold": "surogate"}, "threshold"),
     ("sigma-negative", {"sigma": -1.0}, "sigma"),
     ("surrogate_sigma-zero", {"surrogate_sigma": 0.0}, "surrogate_sigma"),
+]]
+
+# (id, library call, start of its error): the cases of
+# test_bad_reservoir_values_name_their_key built as the run builds them,
+# and three values the library used to take (targets (1.5,) became (1,))
+BAD_LIBRARY_RESERVOIR = [pytest.param(build, message, id=name) for name, build, message in [
+    ("n_qubits-odd", lambda: QnrConfig(n_qubits=3), r"n_qubits must be an even integer"),
+    ("n_qubits-large", lambda: QnrConfig(n_qubits=14), r"n_qubits must be an even integer"),
+    ("n_qubits-esn", lambda: QnrConfig(n_qubits=3, noise=[NoiseSpec("amplitude_damping", 0.05)]),
+     r"n_qubits must be an even integer"),
+    ("noise-rate", lambda: NoiseSpec("amplitude_damping", 1.5), r"rate must be a number"),
+    ("noise-targets", lambda: QnrConfig(noise=[NoiseSpec("bit_flip", 0.1),
+                                               NoiseSpec("amplitude_damping", 0.1, (9,))]),
+     r"noise\[1\]\.targets must be qubits in \[0, 3\], got \[9\]"),
+    ("masks-two-hop", lambda: QnrConfig(n_qubits=2, noise=specs_from_mask(512, 0.1)),
+     r"noise\[0\]\.kind: entangler_two_hop needs at least 3 qubits"),
+    ("masks-all-two-hop", lambda: QnrConfig(n_qubits=2, noise=specs_from_mask(1023, 0.1)),
+     r"noise\[9\]\.kind: entangler_two_hop needs at least 3 qubits"),
+    ("noise-two-hop", lambda: QnrConfig(n_qubits=2, noise=[NoiseSpec("entangler_two_hop", 0.1)]),
+     r"noise\[0\]\.kind: entangler_two_hop needs at least 3 qubits"),
+    ("instances-damping", lambda: benchmark_masks(600), r"instances must be at most 512"),
+    ("noise-repeated-kind", lambda: QnrConfig(noise=[NoiseSpec("bit_flip", 0.1),
+                                                     NoiseSpec("bit_flip", 0.2)]),
+     r"noise\[1\]\.kind: duplicate noise kind 'bit_flip' \(noise\[0\]\)"),
+    ("targets-float", lambda: NoiseSpec("bit_flip", 0.1, (1.5,)), r"targets must be"),
+    ("rate-string", lambda: NoiseSpec("bit_flip", "0.1"), r"rate must be a number"),
+    ("n_qubits-float", lambda: QnrConfig(n_qubits=4.0), r"n_qubits must be an even integer"),
 ]]
 
 
@@ -92,6 +120,30 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"tipc\.{key} "):
             analyze_states(rng.normal(size=(200, 2)), u, 30, TipcSettings(**tipc),
                            surrogate_rng=rng)
+
+    @pytest.mark.parametrize("build,message", BAD_LIBRARY_RESERVOIR)
+    def test_library_rejects_bad_reservoir_values_too(self, build, message):
+        with pytest.raises(ValueError, match="^" + message):
+            build()
+
+    @pytest.mark.parametrize("key,value", [("n_nodes", 2.5), ("spectral_radius", -1),
+                                           ("internal_prob", 2), ("input_prob", -1)])
+    def test_bad_esn_values_name_their_key(self, key, value):
+        # each used to run: probabilities 2 and -1 wrote an eval NRMSE of 1.0038
+        with pytest.raises(ValueError, match=rf"^{key} must be"):
+            EsnConfig(**{key: value})
+        with pytest.raises(cfgmod.ConfigError, match=rf"^esn\.{key} must be"):
+            cfgmod.assemble({"esn": {key: value}})
+
+    @pytest.mark.parametrize("text,message", [
+        ("tipc: {p: 1e-4}", r"^tipc\.p must be a number .*got '1e-4'.* 1\.0e-4"),
+        ("seed: 1.5", r"^seed must be an integer, got 1\.5"),
+    ], ids=["tipc-p-string", "seed-float"])
+    def test_wrongly_typed_scalars_name_their_key(self, text, message):
+        # YAML 1.1 reads 1e-4 as a string, which died in a bare TypeError;
+        # seed 1.5 ran as seed 1 while the manifest recorded 1.5
+        with pytest.raises(cfgmod.ConfigError, match=message):
+            cfgmod.parse(text)
 
     def test_default_config_hashes_are_pinned(self):
         # every manifest names this hash: renaming or reordering a field of

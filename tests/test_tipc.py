@@ -250,6 +250,21 @@ class TestEvaluateBases:
         with pytest.raises(ValueError, match="history"):
             evaluate_bases(terms, rng.uniform(size=10), input_offset=1, n_rows=5)
 
+    def test_short_inputs_rejected_with_their_shape(self, rng):
+        # analyze_states used to die on a bare IndexError
+        with pytest.raises(ValueError, match=r"inputs of shape \(220,\) are too short .* "
+                                             r"need 230 inputs"):
+            analyze_states(rng.normal(size=(200, 2)), rng.uniform(0, 1, 220), 30,
+                           TipcSettings())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, rng, bad):
+        # a NaN used to give a profile with c_tot = nan, and no error
+        u = rng.uniform(0, 1, 230)
+        u[100] = bad
+        with pytest.raises(ValueError, match=r"inputs of shape \(230,\) hold NaN or Inf"):
+            analyze_states(rng.normal(size=(200, 2)), u, 30, TipcSettings())
+
     @pytest.mark.parametrize("start_row", [0, 1])
     def test_state_delay_past_start_row_rejected(self, rng, start_row):
         # xhat[rows - 2] used to wrap to xhat's last rows
