@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +59,17 @@ def _target_sequence(cfg, inputs: np.ndarray) -> np.ndarray:
     return y[:len(inputs)]
 
 
+def _pool(workers: int):
+    """A process pool; imported here, so that serial runs never load it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _run_instances(cfg, instances, inputs: np.ndarray):
     """Run every instance, optionally on a process pool; order-stable."""
     configs = [qc for _, _, qc in instances]
     if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with _pool(cfg.threads) as pool:
             return list(pool.map(run_qnr, configs, [inputs] * len(configs)))
     return [run_qnr(qc, inputs) for qc in configs]
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 import yaml
 
-from .noise import NoiseSpec, specs_from_mask
+from .noise import NoiseSpec, is_real, specs_from_mask
 from .reservoir import EsnConfig, QnrConfig, benchmark_masks
 from .rng import stream
 from .tipc import TipcSettings
@@ -40,6 +40,20 @@ def _key(path: str):
         raise ConfigError(f"{path}{exc}") from None
 
 
+def _check_types(section, path: str):
+    """Raise ConfigError unless each ``int`` field of a section holds an int
+    and each ``float`` field an int or float, naming the key as
+    ``<path><key>``.  A bool or a string is neither.  Sections whose keys a
+    library constructor checks call it after that check, so that its
+    message wins."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if f.type == "int" and type(value) is not int:
+            raise ConfigError(f"{path}{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and type(value) not in (int, float):
+            raise ConfigError(f"{path}{f.name} must be a number, got {value!r}")
+
+
 @dataclass
 class InputSpec:
     kind: str = "uniform"          # uniform | csv
@@ -48,6 +62,7 @@ class InputSpec:
     path: Optional[str] = None
 
     def validate(self):
+        _check_types(self, "input.")
         if self.kind not in ("uniform", "csv"):
             raise ConfigError(f"input.kind must be uniform or csv, got {self.kind!r}")
         if self.kind == "uniform" and not self.low < self.high:
@@ -63,6 +78,7 @@ class SplitSpec:
     eval: int = 2000
 
     def validate(self):
+        _check_types(self, "split.")
         if min(self.washout, self.train, self.eval) < 0:
             raise ConfigError("split lengths must be non-negative")
         if self.total < 1:
@@ -94,10 +110,12 @@ class ReservoirSpec:
     def validate(self):
         if self.kind not in ("qnr", "esn"):
             raise ConfigError(f"reservoir.kind must be qnr or esn, got {self.kind!r}")
-        if self.instances < 1:
-            raise ConfigError("reservoir.instances must be >= 1")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ConfigError("reservoir.noise_rate must be in [0, 1]")
+        if not (type(self.instances) is int and self.instances >= 1):
+            raise ConfigError(f"reservoir.instances must be an integer >= 1, "
+                              f"got {self.instances!r}")
+        if not (is_real(self.noise_rate) and 0.0 <= self.noise_rate <= 1.0):
+            raise ConfigError(f"reservoir.noise_rate must be a number in [0, 1], "
+                              f"got {self.noise_rate!r}")
         if not (self.masks in (None, "all") or isinstance(self.masks, (list, tuple))):
             raise ConfigError(f"reservoir.masks must be null, \"all\" or a list of masks, "
                               f"got {self.masks!r}")
@@ -110,7 +128,7 @@ class ReservoirSpec:
         # `qnr esp` builds a qubit register from n_qubits
         specs = self.explicit_specs()
         with _key("reservoir."):
-            QnrConfig(self.n_qubits, noise=specs)
+            QnrConfig(self.n_qubits, self.input_scaling, noise=specs)
             masks = self.mask_list()
         for i, mask in enumerate(masks):
             with _key(f"reservoir.masks[{i}]: "):
@@ -144,10 +162,11 @@ class EsnSpec:
     configurations: int = 10
 
     def validate(self):
-        if self.configurations < 1:
-            raise ConfigError("esn.configurations must be >= 1")
         with _key("esn."):
             self.instance(seed=0)
+        _check_types(self, "esn.")
+        if self.configurations < 1:
+            raise ConfigError("esn.configurations must be >= 1")
 
     def instance(self, seed: int) -> EsnConfig:
         """The library config of one weight draw."""
@@ -163,6 +182,7 @@ class TipcSpec(TipcSettings):
     def validate(self):
         with _key(""):
             super().validate()
+        _check_types(self, "tipc.")
         if self.analysis_len <= self.max_state_delay:
             raise ConfigError("tipc.analysis_len must exceed tipc.max_state_delay")
         if self.washout < self.max_input_delay:
@@ -176,6 +196,7 @@ class EspSpec:
     steps: int = 175
 
     def validate(self):
+        _check_types(self, "esp.")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("esp.gamma must be in (0, 1)")
         if self.trials < 2:
@@ -214,8 +235,7 @@ class ExperimentConfig:
     def validate(self):
         if self.task not in ("narma2", "csv_target"):
             raise ConfigError(f"task must be narma2 or csv_target, got {self.task!r}")
-        if type(self.seed) is not int:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        _check_types(self, "")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         for section in (self.input, self.split, self.reservoir, self.esn,

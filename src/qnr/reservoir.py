@@ -49,6 +49,9 @@ class QnrConfig:
         if not (is_int(n) and n % 2 == 0 and 2 <= n <= qsim.MAX_QUBITS):
             raise ValueError(f"n_qubits must be an even integer in [2, {qsim.MAX_QUBITS}], "
                              f"got {n!r}")
+        if not (is_real(self.input_scaling) and math.isfinite(self.input_scaling)):
+            raise ValueError(f"input_scaling must be a finite number, "
+                             f"got {self.input_scaling!r}")
         check_specs(self.noise, n)
 
 

@@ -22,23 +22,27 @@ column-centered before the SVD and every basis is orthogonalized against
 the constant, which is what makes the chi-squared error model for the
 capacities of uninformative terms apply.
 
-Solver.  ``orthonormalize`` takes only the basis: the constant always comes
-first and the drop floor is ``_DROP_TOL``.  It factors a tall,
+Solver.  ``orthonormalize`` takes the basis matrix, or the term list with
+the arguments of ``evaluate_bases``; it has no knobs: the constant always
+comes first and the drop floor is ``_DROP_TOL``.  It factors a tall,
 well-conditioned basis by Cholesky of its Gram matrix, which reads the
 column-major basis in place; any other basis, or one whose Gram factor
 fails its condition or pivot check, by one LAPACK Householder QR; and falls
 back to modified Gram-Schmidt when a QR pivot lies under twice the drop
-floor, so keep/drop decisions are Gram-Schmidt's.  Q is never formed:
-``capacities`` applies Q^T from the factor.  The solvers call seven
-compiled functions of scipy (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``,
-``dgeqrf``, ``dgeqrf_lwork``, ``dormqr``), which ``_blas_lapack`` loads on
-first use from scipy's ``linalg/_fblas`` and ``linalg/_flapack`` extension
-files: every ``qnr`` command imports this module, and ``train``, ``esp``
-and ``simulate`` never call them.  That load, ``import scipy`` included,
-takes 0.016-0.019 s and 4 MiB after numpy (2-core Xeon VM, scipy 1.17).
-The ``scipy.linalg`` package, which holds the public wrappers, would cost
-another 0.18-0.28 s and 22 MiB per process, mostly because scipy's
-array-API shim imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.  ``scipy.special`` is not used: the
+floor, so keep/drop decisions are Gram-Schmidt's.  A saturated term list,
+with at least as many terms as rows, is evaluated only as far as the QR
+reads it, the leading T - 1 columns, and in full only for Gram-Schmidt.
+Q is never formed: ``capacities`` applies Q^T from the factor.  The solvers
+call seven compiled functions of scipy (``dsyrk``, ``dpotrf``, ``dtrcon``,
+``dtrtrs``, ``dgeqrf``, ``dgeqrf_lwork``, ``dormqr``), which
+``_blas_lapack`` loads on first use from scipy's ``linalg/_fblas`` and
+``linalg/_flapack`` extension files: every ``qnr`` command imports this
+module, and ``train``, ``esp`` and ``simulate`` never call them.  That
+load, ``import scipy`` included, takes 0.016-0.019 s and 4 MiB after numpy
+(2-core Xeon VM, scipy 1.17).  The ``scipy.linalg`` package, which holds
+the public wrappers, would cost another 0.18-0.28 s and 22 MiB per process,
+mostly because scipy's array-API shim imports ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma``.  ``scipy.special`` is not used: the
 Legendre polynomials and the chi-squared quantile are ported to numpy and
 ``math`` below.
 """
@@ -208,7 +212,8 @@ def _enumerate_bases(max_degree: int, max_input_delay: int, max_state_delay: int
 def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: int,
                    xhat: Optional[np.ndarray] = None, start_row: int = 0,
                    n_rows: Optional[int] = None,
-                   input_range: Tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
+                   input_range: Tuple[float, float] = (-1.0, 1.0), *,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Basis time series over state rows [start_row, start_row + n_rows).
 
     ``inputs[input_offset + i]`` is the input consumed by state row i, so the
@@ -216,15 +221,18 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     Legendre input factors are evaluated after affinely mapping the declared
     input range onto [-1, 1]; state factors read raw powers of ``xhat``, the
     delay-s one of row i at ``xhat[i - s]``, so no state delay may exceed
-    ``start_row``.  Each distinct factor is evaluated once per call and shared
-    by the terms that contain it.  The result is column-major, so each term's
-    column is contiguous for the solvers of ``orthonormalize``.
+    ``start_row``.  Each input factor is evaluated once per exponent, and each
+    state power once per (feature, exponent), over the window that all delays
+    span; a delay's factor is a slice of that window.  The result is
+    column-major, so each term's column is contiguous for the solvers of
+    ``orthonormalize``.
+
+    ``out``, an n_rows x k array with contiguous columns, receives the
+    leading k columns only.  Every term is still checked, so the errors do
+    not depend on how many columns are evaluated.
     """
     inputs = np.asarray(inputs, dtype=float)
-    if xhat is not None and n_rows is None:
-        n_rows = xhat.shape[0] - start_row
-    if n_rows is None:
-        raise ValueError("n_rows required when no normalized states are given")
+    n_rows = _n_rows(xhat, start_row, n_rows)
     max_in_delay = max((s for t in terms for s, _ in t.input_exponents), default=1)
     first = input_offset + start_row - max_in_delay + 1
     end = input_offset + start_row + n_rows
@@ -234,48 +242,62 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
         raise ValueError(f"inputs of shape {inputs.shape} are too short for {n_rows} state "
                          f"rows from row {start_row} at input_offset {input_offset}: "
                          f"they need {end} inputs")
-    if not np.isfinite(inputs[first:end]).all():
+    window = inputs[first:end]
+    if not np.isfinite(window).all():
         raise ValueError(f"inputs of shape {inputs.shape} hold NaN or Inf in the window "
                          f"[{first}, {end}) that {n_rows} state rows read")
     lo, hi = input_range
-    legendre = any(t.family == "legendre" for t in terms)
-    if legendre:
+    if any(t.family == "legendre" for t in terms):
         if inputs.min() < lo - 1e-12 or inputs.max() > hi + 1e-12:
             raise ValueError(
                 f"inputs outside declared range [{lo}, {hi}]: "
                 f"[{inputs.min():.6g}, {inputs.max():.6g}]")
-        scaled = (2.0 * inputs - (lo + hi)) / (hi - lo)
-    else:
-        scaled = inputs
+        scaled = (2.0 * window - (lo + hi)) / (hi - lo)
+    max_st_delay = max((s for t in terms for _, s, _ in t.state_exponents), default=0)
+    if max_st_delay and xhat is None:
+        raise ValueError("state-history term without normalized states")
+    if max_st_delay > start_row:
+        raise ValueError(
+            f"state-history delay {max_st_delay} exceeds start_row {start_row}: "
+            "not enough state history for the requested delays")
 
-    out = np.empty((n_rows, len(terms)), order="F")
-    rows = np.arange(start_row, start_row + n_rows)
-    factors: Dict[tuple, np.ndarray] = {}   # (s, e, family) or (k, s, e)
-    for j, term in enumerate(terms):
+    if out is None:
+        out = np.empty((n_rows, len(terms)), order="F")
+    windows: Dict[tuple, np.ndarray] = {}   # (e, family) or (k, e): all delays
+    factors: Dict[tuple, np.ndarray] = {}   # (s, e, family) or (k, s, e): a slice
+    for j, term in enumerate(terms[:out.shape[1]]):
         fs = []
         for s, e in term.input_exponents:
             key = (s, e, term.family)
             if key not in factors:
-                seg_idx = input_offset + rows - s + 1
-                factors[key] = (_legendre(e, scaled[seg_idx])
-                                if term.family == "legendre" else inputs[seg_idx] ** e)
+                if (e, term.family) not in windows:
+                    windows[e, term.family] = (_legendre(e, scaled)
+                                               if term.family == "legendre" else window ** e)
+                factors[key] = windows[e, term.family][max_in_delay - s:][:n_rows]
             fs.append(factors[key])
         for k, s, e in term.state_exponents:
-            if xhat is None:
-                raise ValueError("state-history term without normalized states")
             key = (k, s, e)
             if key not in factors:
-                if s > start_row:
-                    raise ValueError(
-                        f"state-history delay {s} exceeds start_row {start_row}: "
-                        "not enough state history for the requested delays")
-                factors[key] = xhat[rows - s, k] ** e
+                if (k, e) not in windows:
+                    windows[k, e] = (xhat[start_row - max_st_delay:start_row + n_rows - 1, k]
+                                     ** e)
+                factors[key] = windows[k, e][max_st_delay - s:][:n_rows]
             fs.append(factors[key])
         col = out[:, j]
         col[:] = fs[0] if fs else 1.0
         for f in fs[1:]:
             col *= f
     return out
+
+
+def _n_rows(xhat: Optional[np.ndarray], start_row: int, n_rows: Optional[int]) -> int:
+    """The basis rows of ``evaluate_bases``: ``n_rows``, else xhat's rows
+    from ``start_row``."""
+    if n_rows is not None:
+        return n_rows
+    if xhat is None:
+        raise ValueError("n_rows required when no normalized states are given")
+    return xhat.shape[0] - start_row
 
 
 def _legendre(n: int, x: np.ndarray) -> np.ndarray:
@@ -407,8 +429,13 @@ class Orthonormalized:
         return QtP[1:]
 
 
-def orthonormalize(basis: np.ndarray) -> Orthonormalized:
+def orthonormalize(basis, inputs: Optional[np.ndarray] = None, input_offset: int = 0,
+                   **evaluation) -> Orthonormalized:
     """Sequential orthonormalization of the columns after the constant.
+
+    ``basis`` is the basis matrix, or its term list followed by the rest of
+    ``evaluate_bases``' arguments (``inputs``, ``input_offset`` and its
+    keywords), so that only the columns a solver reads are evaluated.
 
     A column is dropped as linearly dependent when its component orthogonal
     to the constant and to every earlier kept column has norm below
@@ -429,15 +456,31 @@ def orthonormalize(basis: np.ndarray) -> Orthonormalized:
     2. LAPACK Householder QR of the constant and the leading min(B, T - 1)
        columns.  It passes when every |R_jj| (constant excluded) is at
        least twice the floor; those columns are kept and the rest dropped.
+       A term list of B >= T terms (a saturated basis) evaluates only these
+       T - 1 columns, straight into the QR's buffer after the constant.
     3. Modified Gram-Schmidt on the whole basis (``_GS_BLOCK`` columns per
        matrix product, one re-orthogonalization pass), which applies the
-       drop rule column by column.
+       drop rule column by column.  A saturated term list is evaluated in
+       full only here.
 
     Real bases drop nothing before they saturate R^T.  Where 1 or 2 passes,
     Gram-Schmidt decides the same, because their pivots agree to rounding
     far inside the factor two; the condition bound keeps the Gram's squared
     conditioning to ~1e-12 relative.
     """
+    if inputs is not None:
+        terms = basis
+        T = _n_rows(evaluation.get("xhat"), evaluation.get("start_row", 0),
+                    evaluation.get("n_rows"))
+        if len(terms) >= T >= 2:
+            floor = _DROP_TOL * np.sqrt(T)
+            F = _qr_buffer(T, T - 1)
+            evaluate_bases(terms, inputs, input_offset, **evaluation, out=F[:, 1:])
+            ortho = _qr(F, len(terms), floor)
+            del F   # a refused QR's buffer goes before the whole basis comes
+            return ortho or _gram_schmidt(
+                evaluate_bases(terms, inputs, input_offset, **evaluation), floor)
+        basis = evaluate_bases(terms, inputs, input_offset, **evaluation)
     A = np.asarray(basis, dtype=float)
     T, _ = A.shape
     if T == 0:
@@ -480,19 +523,34 @@ def _cholesky(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
 
 
 def _householder(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
-    """Solver 2 of ``orthonormalize``, or None where its gate fails."""
+    """Solver 2 of ``orthonormalize`` on a basis matrix, or None where its
+    gate fails."""
     T, B = A.shape
     m = min(B, T - 1)
     if m == 0:
         return None
-    _, lapack = _blas_lapack()
+    F = _qr_buffer(T, m)
+    F[:, 1:] = A[:, :m]
+    return _qr(F, B, floor)
+
+
+def _qr_buffer(T: int, m: int) -> np.ndarray:
+    """The column-major T x (1 + m) input of ``_qr``, its constant filled in."""
     F = np.empty((T, 1 + m), order="F")
     F[:, 0] = 1.0 / np.sqrt(T)
-    F[:, 1:] = A[:, :m]
+    return F
+
+
+def _qr(F: np.ndarray, B: int, floor: float) -> Optional[Orthonormalized]:
+    """Householder QR of [constant | leading columns of a B-column basis],
+    overwriting F, or None where a pivot lies under twice the floor.  The
+    comparison is written so that NaN fails it."""
+    m = F.shape[1] - 1
+    _, lapack = _blas_lapack()
     # the lwork=-1 query of dgeqrf would copy the whole matrix
-    lwork = int(lapack.dgeqrf_lwork(T, 1 + m)[0])
+    lwork = int(lapack.dgeqrf_lwork(*F.shape)[0])
     F, tau, _, _ = lapack.dgeqrf(F, lwork=lwork, overwrite_a=1)
-    if np.abs(np.diagonal(F)[1:]).min() < 2.0 * floor:
+    if not np.abs(np.diagonal(F)[1:]).min() >= 2.0 * floor:
         return None
     return Orthonormalized(kept=list(range(m)), dropped=list(range(m, B)),
                            _factor=("householder", F, tau))
@@ -659,10 +717,9 @@ def shuffle_surrogate_threshold(inputs: np.ndarray, input_offset: int,
     worst = 0.0
     for _ in range(n_surrogates):
         shuffled = inputs[rng.permutation(len(inputs))]
-        # no local holds the basis: it is freed before the next one is built
-        caps = capacities(P, orthonormalize(evaluate_bases(
+        caps = capacities(P, orthonormalize(
             terms, shuffled, input_offset, xhat=xhat, start_row=start_row,
-            n_rows=n_rows, input_range=input_range)))
+            n_rows=n_rows, input_range=input_range))
         worst = max(worst, caps[eligible].max(initial=0.0))
     return float(sigma * worst)
 
@@ -809,10 +866,9 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     terms = enumerate_bases(settings.max_degree, settings.max_input_delay,
                             lx, ns.rank, family, settings.term_cap)
     P_eval = normalize_states(ns.P[lx:], abs_floor=1e-12).P if lx > 0 else ns.P
-    # no local holds the basis: it is freed once ``capacities`` has read it
-    caps = capacities(P_eval, orthonormalize(evaluate_bases(
+    caps = capacities(P_eval, orthonormalize(
         terms, inputs, input_offset, xhat=ns.P, start_row=lx, n_rows=T_eval,
-        input_range=input_range)))
+        input_range=input_range))
     if params["mode"] == "surrogate":
         th = shuffle_surrogate_threshold(
             inputs, input_offset, terms, P_eval, surrogate_rng, xhat=ns.P,

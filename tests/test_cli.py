@@ -1,7 +1,9 @@
 """Config schema, CSV exchange, and CLI subcommand tests."""
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +146,31 @@ class TestConfig:
         # seed 1.5 ran as seed 1 while the manifest recorded 1.5
         with pytest.raises(cfgmod.ConfigError, match=message):
             cfgmod.parse(text)
+
+    @pytest.mark.parametrize("overlay,message", [
+        ({"split": {"train": 200.5}}, r"^split\.train must be an integer, got 200\.5"),
+        ({"threads": 1.5}, r"^threads must be an integer, got 1\.5"),
+        ({"split": {"washout": "100"}}, r"^split\.washout must be an integer, got '100'"),
+        ({"input": {"low": "0"}}, r"^input\.low must be a number, got '0'"),
+        ({"esp": {"gamma": "0.05"}}, r"^esp\.gamma must be a number, got '0\.05'"),
+        ({"reservoir": {"input_scaling": "pi"}},
+         r"^reservoir\.input_scaling must be a finite number, got 'pi'"),
+        ({"tipc": {"washout": 200.5}}, r"^tipc\.washout must be an integer, got 200\.5"),
+        ({"esn": {"configurations": 2.5}},
+         r"^esn\.configurations must be an integer, got 2\.5"),
+        ({"reservoir": {"noise_rate": "0.1"}},
+         r"^reservoir\.noise_rate must be a number in \[0, 1\], got '0\.1'"),
+        ({"reservoir": {"instances": "2"}},
+         r"^reservoir\.instances must be an integer >= 1, got '2'"),
+    ], ids=["split-train-float", "threads-float", "split-washout-string",
+            "input-low-string", "esp-gamma-string", "input_scaling-string",
+            "tipc-washout-float", "esn-configurations-float", "noise_rate-string",
+            "instances-string"])
+    def test_wrongly_typed_config_values_name_their_key(self, overlay, message):
+        # the first two passed assemble and died in a bare TypeError in the
+        # run, the next three in validate; the rest were accepted
+        with pytest.raises(cfgmod.ConfigError, match=message):
+            cfgmod.assemble(overlay)
 
     def test_default_config_hashes_are_pinned(self):
         # every manifest names this hash: renaming or reordering a field of
@@ -423,13 +450,13 @@ class TestCommands:
 
     def test_tipc_with_threads_matches_serial(self, tmp_path, monkeypatch):
         pools = []
+        pool = cli._pool
 
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
+        def recording_pool(workers):
+            pools.append(workers)
+            return pool(workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_pool", recording_pool)
         cfg = _write_cfg(tmp_path, {
             "reservoir": {"instances": 2, "masks": [1, 129]},
             "tipc": {"washout": 30, "analysis_len": 200, "max_degree": 1,
@@ -445,6 +472,18 @@ class TestCommands:
         assert len(names) == 7
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_import_leaves_the_process_pool_out(self):
+        # serial runs, the default, never start a pool: importing one costs
+        # every qnr process ~1.5 MiB and ~25 ms
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qnr.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_tipc_on_ingested_trace_with_metadata(self, tmp_path, rng):
         u = rng.uniform(0, 1, size=260)

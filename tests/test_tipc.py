@@ -81,6 +81,32 @@ def reference_evaluate(terms, inputs, input_offset, xhat=None, start_row=0,
     return out
 
 
+def gather_evaluate(terms, inputs, input_offset, xhat=None, start_row=0,
+                    n_rows=None, input_range=(-1.0, 1.0)):
+    """The per-delay gather that ``evaluate_bases`` replaced: each (delay,
+    exponent) factor fancy-indexed from the inputs or the states, then the
+    products in the library's order."""
+    if n_rows is None:
+        n_rows = xhat.shape[0] - start_row
+    lo, hi = input_range
+    scaled = (2.0 * inputs - (lo + hi)) / (hi - lo)
+    rows = np.arange(start_row, start_row + n_rows)
+    out = np.empty((n_rows, len(terms)), order="F")
+    for j, term in enumerate(terms):
+        fs = []
+        for s, e in term.input_exponents:
+            idx = input_offset + rows - s + 1
+            fs.append(tipc._legendre(e, scaled[idx]) if term.family == "legendre"
+                      else inputs[idx] ** e)
+        for k, s, e in term.state_exponents:
+            fs.append(xhat[rows - s, k] ** e)
+        col = out[:, j]
+        col[:] = fs[0]
+        for f in fs[1:]:
+            col *= f
+    return out
+
+
 def reference_mgs(A, drop_tol=1e-8):
     """Two-pass modified Gram-Schmidt against the constant, one column at a
     time, with a row-major Q, no blocks and no stop at full rank."""
@@ -304,6 +330,25 @@ class TestEvaluateBases:
         assert np.array_equal(fast, reference_evaluate(terms, u, off, xhat=ns.P,
                                                        start_row=2))
 
+    @pytest.mark.parametrize("start_row", [2, 3])
+    @pytest.mark.parametrize("family", ["monomial", "legendre"])
+    def test_factor_windows_match_the_per_delay_gather(self, rng, family, start_row):
+        u = rng.uniform(-1, 1, size=140)
+        # |x| < 1e-5 takes the Legendre power series
+        u[::7] = rng.uniform(-1e-5, 1e-5, size=20)
+        u[3] = 0.0
+        xhat = rng.normal(size=(40 + start_row, 2))
+        terms = enumerate_bases(4, 6, 2, 2, family)
+        assert max(s for t in terms for _, s, _ in t.state_exponents) == 2
+        args = (terms, u, 90)
+        kwargs = dict(xhat=xhat, start_row=start_row, input_range=(-1.0, 1.0))
+        assert np.array_equal(evaluate_bases(*args, **kwargs),
+                              gather_evaluate(*args, **kwargs))
+        lead = np.empty((40, 50), order="F")
+        assert evaluate_bases(*args, **kwargs, out=lead) is lead
+        assert np.array_equal(lead, gather_evaluate(terms[:50], u, 90, **kwargs))
+
+
 class TestOrthonormalize:
     def test_orthonormal_input_unchanged_up_to_sign(self, rng):
         Q0, _ = np.linalg.qr(rng.normal(size=(60, 4)))
@@ -491,6 +536,11 @@ class TestHouseholderSolver:
         assert res.kept == kept == reference_mgs(A, drop_tol)[1]
         assert solvers == [("gram_schmidt" if fallback else "householder", A.shape)]
 
+    def test_nan_pivot_fails_the_gate(self, rng):
+        A = rng.normal(size=(50, 3))
+        A[7, 1] = np.nan
+        assert tipc._householder(A, tipc._DROP_TOL * np.sqrt(50)) is None
+
     def test_import_leaves_scipy_linalg_out(self):
         # scipy is imported where it is used; every qnr command imports
         # tipc, and most of them never reach scipy
@@ -561,6 +611,114 @@ class TestHouseholderSolver:
         with pytest.raises(ImportError, match=rf"no _fblas extension in .*linalg "
                                               rf"\(scipy {scipy.__version__}\)"):
             tipc._blas_lapack()
+
+
+@pytest.fixture
+def cells(monkeypatch):
+    """Shape of every basis block that evaluate_bases built."""
+    seen = []
+    evaluate = tipc.evaluate_bases
+
+    def spy(*args, **kwargs):
+        block = evaluate(*args, **kwargs)
+        seen.append(block.shape)
+        return block
+
+    monkeypatch.setattr(tipc, "evaluate_bases", spy)
+    return seen
+
+
+class TestSaturatedBasis:
+    """A term list of at least as many terms as rows, handed to orthonormalize."""
+
+    def _wide(self, rng):
+        # states nonlinear in the inputs: the echo states' are linear, so
+        # their state terms repeat input terms and the QR is refused
+        u = rng.uniform(-1, 1, size=160)
+        ns = normalize_states(np.tanh(rng.normal(size=(60, 2))))
+        terms = enumerate_bases(3, 6, 2, ns.rank, "legendre")
+        return terms, u, 100, dict(xhat=ns.P, start_row=2)
+
+    def test_passing_qr_evaluates_only_the_leading_columns(self, rng, cells):
+        terms, u, off, kw = self._wide(rng)
+        B = evaluate_bases(terms, u, off, **kw)
+        T = B.shape[0]
+        cells.clear()
+        res = orthonormalize(terms, u, off, **kw)
+        assert cells == [(T, T - 1)]
+        full = orthonormalize(B)
+        assert res.kept == full.kept == list(range(T - 1))
+        assert res.dropped == full.dropped
+        P = normalize_states(kw["xhat"][2:], abs_floor=1e-12).P
+        assert np.array_equal(capacities(P, res), capacities(P, full))
+
+    def test_refused_qr_evaluates_the_whole_basis(self, rng, cells):
+        terms, u, off, kw = self._wide(rng)
+        terms.insert(5, terms[2])   # a duplicated early column
+        B = evaluate_bases(terms, u, off, **kw)
+        T = B.shape[0]
+        cells.clear()
+        res = orthonormalize(terms, u, off, **kw)
+        assert cells == [(T, T - 1), B.shape]
+        _, kept, dropped = reference_mgs(B)
+        assert 5 in dropped
+        assert res.kept == kept and res.dropped == dropped
+
+    @pytest.mark.parametrize("threshold", ["chi2", "surrogate"])
+    @pytest.mark.parametrize("states", ["tanh", "echo"])
+    def test_analyze_states_matches_the_full_matrix(self, rng, solvers, states,
+                                                    threshold):
+        u, x, off = _echo_states(rng, 30)
+        if states == "tanh":
+            x = np.tanh(rng.normal(size=x.shape))
+        settings = TipcSettings(max_degree=2, max_input_delay=6, max_state_delay=2,
+                                family="legendre", p=1e-2, threshold=threshold,
+                                surrogates=3)
+        prof = analyze_states(x, u, off, settings, np.random.default_rng(8),
+                              input_range=(-1, 1))
+        ns = normalize_states(x)
+        terms = enumerate_bases(2, 6, 2, ns.rank, "legendre")
+        B = evaluate_bases(terms, u, off, xhat=ns.P, start_row=2)
+        assert B.shape[1] > B.shape[0]
+        P = normalize_states(ns.P[2:], abs_floor=1e-12).P
+        solvers.clear()
+        assert np.array_equal(prof.capacity, capacities(P, orthonormalize(B)))
+        # the QR takes the tanh states' basis, Gram-Schmidt the echo states'
+        assert solvers == [("householder" if states == "tanh" else "gram_schmidt",
+                            B.shape)]
+        if threshold == "surrogate":
+            th = shuffle_surrogate_threshold(u, off, terms, P, np.random.default_rng(8),
+                                             xhat=ns.P, start_row=2,
+                                             input_range=(-1, 1), n_surrogates=3)
+            assert prof.threshold == th
+
+    @pytest.mark.parametrize("problem,message", [
+        ("history", "not enough input history"),
+        ("short", r"too short"),
+        ("nan", r"hold NaN or Inf in the window \[2, 30\)"),
+        ("state-delay", "delay 1 exceeds start_row 0"),
+    ], ids=["history", "short", "nan", "state-delay"])
+    def test_late_terms_are_still_checked(self, rng, cells, problem, message):
+        # 27 input terms on 20 rows: only the first 19 are evaluated, but the
+        # checks cover the term appended after them
+        u, off, T = rng.uniform(-1, 1, size=40), 10, 20
+        terms = enumerate_bases(2, 6, 0, 0, "legendre")
+        kw = dict(n_rows=T, input_range=(-1.0, 1.0))
+        late = BasisTerm(input_exponents=((9, 1),), family="legendre")
+        if problem == "history":
+            late = BasisTerm(input_exponents=((12, 1),), family="legendre")
+        elif problem == "short":
+            u = u[:off + T - 1]
+        elif problem == "nan":
+            u[2] = np.nan   # read by the delay-9 term only
+            assert len(orthonormalize(terms, u, off, **kw).kept) == T - 1
+        else:
+            late = BasisTerm(state_exponents=((0, 1, 1),))
+            kw = dict(xhat=rng.normal(size=(T, 1)), input_range=(-1.0, 1.0))
+        cells.clear()
+        with pytest.raises(ValueError, match=message):
+            orthonormalize(terms + [late], u, off, **kw)
+        assert cells == []
 
 
 def _solver_calls(blas, lapack):
