@@ -40,18 +40,27 @@ def _key(path: str):
         raise ConfigError(f"{path}{exc}") from None
 
 
+# annotation of a field -> (whether a value has that type, its name in errors)
+_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "Optional[str]": (lambda v: v is None or type(v) is str, "a string or null"),
+    "List[str]": (lambda v: type(v) is list and all(type(x) is str for x in v),
+                  "a list of strings"),
+}
+
+
 def _check_types(section, path: str):
-    """Raise ConfigError unless each ``int`` field of a section holds an int
-    and each ``float`` field an int or float, naming the key as
-    ``<path><key>``.  A bool or a string is neither.  Sections whose keys a
-    library constructor checks call it after that check, so that its
-    message wins."""
+    """Raise ConfigError unless each field of a section annotated in
+    ``_TYPES`` holds a value of that type, naming the key as
+    ``<path><key>``.  A bool is not an int, and neither is a string.
+    Sections whose keys a library constructor checks call it after that
+    check, so that its message wins."""
     for f in dataclasses.fields(section):
         value = getattr(section, f.name)
-        if f.type == "int" and type(value) is not int:
-            raise ConfigError(f"{path}{f.name} must be an integer, got {value!r}")
-        if f.type == "float" and type(value) not in (int, float):
-            raise ConfigError(f"{path}{f.name} must be a number, got {value!r}")
+        if f.type in _TYPES and not _TYPES[f.type][0](value):
+            raise ConfigError(f"{path}{f.name} must be {_TYPES[f.type][1]}, got {value!r}")
 
 
 @dataclass
@@ -116,6 +125,9 @@ class ReservoirSpec:
         if not (is_real(self.noise_rate) and 0.0 <= self.noise_rate <= 1.0):
             raise ConfigError(f"reservoir.noise_rate must be a number in [0, 1], "
                               f"got {self.noise_rate!r}")
+        if not (self.noise is None or type(self.noise) is list):
+            raise ConfigError(f"reservoir.noise must be null or a list of channels, "
+                              f"got {self.noise!r}")
         if not (self.masks in (None, "all") or isinstance(self.masks, (list, tuple))):
             raise ConfigError(f"reservoir.masks must be null, \"all\" or a list of masks, "
                               f"got {self.masks!r}")
@@ -209,12 +221,18 @@ class EspSpec:
 class TargetSpec:
     path: Optional[str] = None
 
+    def validate(self):
+        _check_types(self, "target.")
+
 
 @dataclass
 class IngestSpec:
     inputs: Optional[str] = None
     states: List[str] = field(default_factory=list)
     metadata: Dict = field(default_factory=dict)
+
+    def validate(self):
+        _check_types(self, "ingest.")
 
 
 @dataclass
@@ -239,7 +257,7 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         for section in (self.input, self.split, self.reservoir, self.esn,
-                        self.tipc, self.esp):
+                        self.tipc, self.esp, self.target, self.ingest):
             section.validate()
 
     # -- instance construction ------------------------------------------------

@@ -170,18 +170,22 @@ def write_profile_json(path, prof: CapacityProfile):
 
     The bytes are the same; only the records are formatted here, from each
     term's text, its capacity and its truncation flag, since
-    ``json.dump`` with an indent runs the pure-Python encoder.
+    ``json.dump`` with an indent runs the pure-Python encoder.  The head and
+    then each record go straight to the file, so no copy of the whole text
+    is held.
     """
     head = json.dumps(_profile_head(prof), indent=2)
     # json writes finite floats as float.__repr__ does
     fmt = float.__repr__ if np.isfinite(prof.capacity).all() else json.dumps
-    records = [f'{_record_text(term)}{fmt(capacity)},\n'
-               f'      "truncated": {"true" if truncated else "false"}\n    }}'
-               for term, capacity, truncated in zip(prof.terms, prof.capacity.tolist(),
-                                                    prof.truncated.tolist())]
-    body = "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
     with open(path, "w") as fh:
-        fh.write(f'{head[:-2]},\n  "records": {body}\n}}\n')
+        fh.write(f'{head[:-2]},\n  "records": [')
+        sep = "\n"
+        for term, capacity, truncated in zip(prof.terms, prof.capacity.tolist(),
+                                             prof.truncated.tolist()):
+            fh.write(f'{sep}{_record_text(term)}{fmt(capacity)},\n'
+                     f'      "truncated": {"true" if truncated else "false"}\n    }}')
+            sep = ",\n"
+        fh.write("\n  ]\n}\n" if prof.terms else "]\n}\n")
 
 
 def write_profile_degrees_csv(path, prof: CapacityProfile):

@@ -32,11 +32,15 @@ back to modified Gram-Schmidt when a QR pivot lies under twice the drop
 floor, so keep/drop decisions are Gram-Schmidt's.  A saturated term list,
 with at least as many terms as rows, is evaluated only as far as the QR
 reads it, the leading T - 1 columns, and in full only for Gram-Schmidt.
-Q is never formed: ``capacities`` applies Q^T from the factor.  The solvers
-call seven compiled functions of scipy (``dsyrk``, ``dpotrf``, ``dtrcon``,
-``dtrtrs``, ``dgeqrf``, ``dgeqrf_lwork``, ``dormqr``), which
-``_blas_lapack`` loads on first use from scipy's ``linalg/_fblas`` and
-``linalg/_flapack`` extension files: every ``qnr`` command imports this
+Q is never formed: ``capacities`` applies Q^T from the factor.  Handed a
+tall term list with the states, ``capacities`` holds no basis at all: one
+pass evaluates it in row panels of ``_PANEL_ROWS`` into one buffer and adds
+each panel to the Gram matrix and to A^T P, and the whole basis is
+evaluated only where the Gram gate refuses it.  The solvers call seven
+compiled functions of scipy (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``,
+``dgeqrf``, ``dgeqrf_lwork``, ``dormqr``), which ``_blas_lapack`` loads on
+first use from scipy's ``linalg/_fblas`` and ``linalg/_flapack``
+extension files: every ``qnr`` command imports this
 module, and ``train``, ``esp`` and ``simulate`` never call them.  That
 load, ``import scipy`` included, takes 0.016-0.019 s and 4 MiB after numpy
 (2-core Xeon VM, scipy 1.17).  The ``scipy.linalg`` package, which holds
@@ -233,33 +237,11 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     """
     inputs = np.asarray(inputs, dtype=float)
     n_rows = _n_rows(xhat, start_row, n_rows)
-    max_in_delay = max((s for t in terms for s, _ in t.input_exponents), default=1)
-    first = input_offset + start_row - max_in_delay + 1
-    end = input_offset + start_row + n_rows
-    if first < 0:
-        raise ValueError("not enough input history for the requested delays")
-    if end > len(inputs):
-        raise ValueError(f"inputs of shape {inputs.shape} are too short for {n_rows} state "
-                         f"rows from row {start_row} at input_offset {input_offset}: "
-                         f"they need {end} inputs")
-    window = inputs[first:end]
-    if not np.isfinite(window).all():
-        raise ValueError(f"inputs of shape {inputs.shape} hold NaN or Inf in the window "
-                         f"[{first}, {end}) that {n_rows} state rows read")
-    lo, hi = input_range
+    window, max_in_delay, max_st_delay = _checked_window(
+        terms, inputs, input_offset, xhat, start_row, n_rows, input_range)
     if any(t.family == "legendre" for t in terms):
-        if inputs.min() < lo - 1e-12 or inputs.max() > hi + 1e-12:
-            raise ValueError(
-                f"inputs outside declared range [{lo}, {hi}]: "
-                f"[{inputs.min():.6g}, {inputs.max():.6g}]")
+        lo, hi = input_range
         scaled = (2.0 * window - (lo + hi)) / (hi - lo)
-    max_st_delay = max((s for t in terms for _, s, _ in t.state_exponents), default=0)
-    if max_st_delay and xhat is None:
-        raise ValueError("state-history term without normalized states")
-    if max_st_delay > start_row:
-        raise ValueError(
-            f"state-history delay {max_st_delay} exceeds start_row {start_row}: "
-            "not enough state history for the requested delays")
 
     if out is None:
         out = np.empty((n_rows, len(terms)), order="F")
@@ -290,7 +272,43 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     return out
 
 
-def _n_rows(xhat: Optional[np.ndarray], start_row: int, n_rows: Optional[int]) -> int:
+def _checked_window(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: int,
+                    xhat: Optional[np.ndarray], start_row: int, n_rows: int,
+                    input_range: Tuple[float, float]) -> Tuple[np.ndarray, int, int]:
+    """The checks of ``evaluate_bases`` on every term, raising ValueError;
+    then the inputs that the rows read, the largest input delay (at least
+    1) and the largest state delay."""
+    max_in_delay = max((s for t in terms for s, _ in t.input_exponents), default=1)
+    first = input_offset + start_row - max_in_delay + 1
+    end = input_offset + start_row + n_rows
+    if first < 0:
+        raise ValueError("not enough input history for the requested delays")
+    if end > len(inputs):
+        raise ValueError(f"inputs of shape {inputs.shape} are too short for {n_rows} state "
+                         f"rows from row {start_row} at input_offset {input_offset}: "
+                         f"they need {end} inputs")
+    window = inputs[first:end]
+    if not np.isfinite(window).all():
+        raise ValueError(f"inputs of shape {inputs.shape} hold NaN or Inf in the window "
+                         f"[{first}, {end}) that {n_rows} state rows read")
+    lo, hi = input_range
+    if any(t.family == "legendre" for t in terms):
+        if inputs.min() < lo - 1e-12 or inputs.max() > hi + 1e-12:
+            raise ValueError(
+                f"inputs outside declared range [{lo}, {hi}]: "
+                f"[{inputs.min():.6g}, {inputs.max():.6g}]")
+    max_st_delay = max((s for t in terms for _, s, _ in t.state_exponents), default=0)
+    if max_st_delay and xhat is None:
+        raise ValueError("state-history term without normalized states")
+    if max_st_delay > start_row:
+        raise ValueError(
+            f"state-history delay {max_st_delay} exceeds start_row {start_row}: "
+            "not enough state history for the requested delays")
+    return window, max_in_delay, max_st_delay
+
+
+def _n_rows(xhat: Optional[np.ndarray] = None, start_row: int = 0,
+            n_rows: Optional[int] = None, **_) -> int:
     """The basis rows of ``evaluate_bases``: ``n_rows``, else xhat's rows
     from ``start_row``."""
     if n_rows is not None:
@@ -361,6 +379,10 @@ _GRAM_MAX_COND = 64.0
 # (its estimate is 68 at 4 rows per column, 36 at 6), so the Gram matrix
 # would be formed for nothing before the QR.
 _GRAM_MIN_ROWS_PER_COLUMN = 8
+# Rows per panel of a tall term list streamed into its Gram matrix.  Fixed,
+# not shrunk as the basis widens: dsyrk slows on short panels (the Gram of a
+# 19,998 x 2,299 basis took 3.02 s in 228-row panels, 2.26 s in 912-row ones).
+_PANEL_ROWS = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -435,7 +457,9 @@ def orthonormalize(basis, inputs: Optional[np.ndarray] = None, input_offset: int
 
     ``basis`` is the basis matrix, or its term list followed by the rest of
     ``evaluate_bases``' arguments (``inputs``, ``input_offset`` and its
-    keywords), so that only the columns a solver reads are evaluated.
+    keywords), so that only the columns a solver reads are evaluated.  The
+    result of a tall basis holds the whole basis; ``capacities`` given the
+    term list reads a tall one in row panels instead.
 
     A column is dropped as linearly dependent when its component orthogonal
     to the constant and to every earlier kept column has norm below
@@ -449,7 +473,8 @@ def orthonormalize(basis, inputs: Optional[np.ndarray] = None, input_offset: int
     1. Gram/Cholesky, for a tall basis (at least
        ``_GRAM_MIN_ROWS_PER_COLUMN`` rows per column, so it cannot saturate
        R^T): Cholesky of the column-equilibrated Gram matrix of the constant
-       and the basis, formed without copying the basis.  It passes when the
+       and the basis, formed without copying the basis (``_gram_factor``,
+       which also takes the basis in row panels).  It passes when the
        factorization succeeds, its condition estimate is at most
        ``_GRAM_MAX_COND`` and every pivot R_jj (constant excluded) is at
        least twice the floor; then every column is kept.
@@ -470,8 +495,7 @@ def orthonormalize(basis, inputs: Optional[np.ndarray] = None, input_offset: int
     """
     if inputs is not None:
         terms = basis
-        T = _n_rows(evaluation.get("xhat"), evaluation.get("start_row", 0),
-                    evaluation.get("n_rows"))
+        T = _n_rows(**evaluation)
         if len(terms) >= T >= 2:
             floor = _DROP_TOL * np.sqrt(T)
             F = _qr_buffer(T, T - 1)
@@ -490,36 +514,80 @@ def orthonormalize(basis, inputs: Optional[np.ndarray] = None, input_offset: int
 
 
 def _cholesky(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
-    """Solver 1 of ``orthonormalize``, or None where its gate fails.
-
-    The Gram matrix of [constant | A] is A^T A from dsyrk, which reads a
-    column-major A in place and a row-major one as its transpose, bordered
-    by A's column sums.  Its columns are scaled to unit norm before the
-    factorization, so that the condition estimate sees the directions of
-    the basis, not the scales of its columns.  Comparisons are written so
-    that NaN fails them.
-    """
+    """Solver 1 of ``orthonormalize`` on a basis matrix, taken as one panel,
+    or None where its gate fails."""
     T, B = A.shape
-    if B == 0 or T < _GRAM_MIN_ROWS_PER_COLUMN * B:
+    if not _is_tall(T, B):
         return None
+    R, _ = _gram_factor([(0, A)], T, B, floor)
+    return None if R is None else Orthonormalized(kept=list(range(B)), dropped=[],
+                                                  _factor=("cholesky", A, R))
+
+
+def _is_tall(T: int, B: int) -> bool:
+    """Whether a T x B basis goes to the Gram/Cholesky solver first."""
+    return 0 < B and _GRAM_MIN_ROWS_PER_COLUMN * B <= T
+
+
+def _gram_factor(panels, T: int, B: int, floor: float, P: Optional[np.ndarray] = None):
+    """The Gram/Cholesky solver on a T x B basis A given as row panels:
+    (R, F^T P) with R upper triangular, [constant | A] = F = Q R, or R None
+    where the gate fails.  F^T P is None without P.
+
+    ``panels`` yields (first row, block) pairs that stack to A; a basis
+    matrix is one panel.  Each block adds its A^T A by dsyrk, which reads a
+    column-major block in place and a row-major one as its transpose, its
+    column sums and with P its A^T P, each by a matrix product.  The Gram's
+    columns are scaled to unit norm before the factorization, so that the
+    condition estimate sees the directions of the basis, not the scales of
+    its columns.  Comparisons are written so that NaN fails them.
+    """
     blas, lapack = _blas_lapack()
-    a, trans = (A, 1) if A.flags.f_contiguous else (A.T, 0)
+    AtA, sums = np.zeros((B, B), order="F"), np.zeros(B)
+    FtP = None if P is None else np.zeros((1 + B, P.shape[1]))
+    for row, A in panels:
+        a, trans = (A, 1) if A.flags.f_contiguous else (A.T, 0)
+        AtA = blas.dsyrk(1.0, a, trans=trans, beta=1.0, c=AtA, overwrite_c=1)
+        sums += np.ones(len(A)) @ A
+        if P is not None:
+            FtP[1:] += A.T @ P[row:row + len(A)]
     G = np.zeros((1 + B, 1 + B), order="F")
-    G[1:, 1:] = blas.dsyrk(1.0, a, trans=trans)
+    G[1:, 1:] = AtA
     G[0, 0] = 1.0
-    G[0, 1:] = A.sum(axis=0) / np.sqrt(T)
+    G[0, 1:] = sums / np.sqrt(T)
+    del AtA
+    if P is not None:
+        FtP[0] = P.sum(axis=0) / np.sqrt(T)
     norms = np.sqrt(np.diagonal(G))
     # a pivot never exceeds its column's norm
     if not norms[1:].min() >= 2.0 * floor:
-        return None
+        return None, FtP
     R, info = lapack.dpotrf(G / norms / norms[:, None], overwrite_a=1)
     if info != 0 or not lapack.dtrcon(R)[0] * _GRAM_MAX_COND >= 1.0:
-        return None
+        return None, FtP
     R *= norms
     if not np.diagonal(R)[1:].min() >= 2.0 * floor:
-        return None
-    return Orthonormalized(kept=list(range(B)), dropped=[],
-                           _factor=("cholesky", A, R))
+        return None, FtP
+    return R, FtP
+
+
+def _basis_panels(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: int,
+                  xhat: Optional[np.ndarray] = None, start_row: int = 0,
+                  n_rows: Optional[int] = None,
+                  input_range: Tuple[float, float] = (-1.0, 1.0)):
+    """The basis of ``evaluate_bases`` as (first row, block) pairs of
+    ``_PANEL_ROWS`` rows, the last one shorter, each evaluated into the same
+    column-major buffer.  All rows are checked before the first panel, so
+    the errors are those of one evaluation."""
+    inputs = np.asarray(inputs, dtype=float)
+    T, B = _n_rows(xhat, start_row, n_rows), len(terms)
+    _checked_window(terms, inputs, input_offset, xhat, start_row, T, input_range)
+    buffer = np.empty(min(T, _PANEL_ROWS) * B)
+    for row in range(0, T, _PANEL_ROWS):
+        n = min(_PANEL_ROWS, T - row)
+        yield row, evaluate_bases(terms, inputs, input_offset, xhat, start_row + row, n,
+                                  input_range,
+                                  out=buffer[:n * B].reshape((n, B), order="F"))
 
 
 def _householder(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
@@ -602,15 +670,39 @@ def _gram_schmidt(A: np.ndarray, floor: float) -> Orthonormalized:
                            _factor=("gram_schmidt", Q[:, 1:k]))
 
 
-def capacities(P: np.ndarray, ortho: Orthonormalized) -> np.ndarray:
+def capacities(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
+               input_offset: int = 0, **evaluation) -> np.ndarray:
     """C_i = ||P^T xi_i||^2 for each basis column, in column order; dropped
-    columns get 0."""
-    if ortho.n_rows != P.shape[0]:
+    columns get 0.
+
+    ``basis`` is an ``Orthonormalized``, or a term list followed by the rest
+    of ``evaluate_bases``' arguments, as for ``orthonormalize``.  A tall term
+    list (at least ``_GRAM_MIN_ROWS_PER_COLUMN`` rows per term) is never
+    evaluated whole while the Gram/Cholesky solver takes it: one pass
+    evaluates it in row panels of ``_PANEL_ROWS`` and adds each panel to its
+    Gram matrix and to A^T P, and the capacities are read from R^-T F^T P.
+    Where that gate fails, the basis is evaluated whole, after the panel is
+    freed, and goes to the Householder QR, then Gram-Schmidt.  Any other
+    term list goes through ``orthonormalize``.
+    """
+    T = basis.n_rows if inputs is None else _n_rows(**evaluation)
+    if T != P.shape[0]:
         raise ValueError("basis rows and state rows are misaligned")
-    caps = np.zeros(len(ortho.kept) + len(ortho.dropped))
-    if ortho.kept:
-        G = ortho.project(P)         # n_kept x r
-        caps[ortho.kept] = np.sum(G * G, axis=1)
+    if inputs is not None and _is_tall(T, len(basis)):
+        terms, floor = basis, _DROP_TOL * np.sqrt(T)
+        R, FtP = _gram_factor(_basis_panels(terms, inputs, input_offset, **evaluation),
+                              T, len(terms), floor, P)
+        if R is not None:
+            QtP, _ = _blas_lapack()[1].dtrtrs(R, FtP, trans=1, overwrite_b=1)
+            return np.sum(QtP[1:] * QtP[1:], axis=1)
+        A = evaluate_bases(terms, inputs, input_offset, **evaluation)
+        basis = _householder(A, floor) or _gram_schmidt(A, floor)
+    elif inputs is not None:
+        basis = orthonormalize(basis, inputs, input_offset, **evaluation)
+    caps = np.zeros(len(basis.kept) + len(basis.dropped))
+    if basis.kept:
+        G = basis.project(P)         # n_kept x r
+        caps[basis.kept] = np.sum(G * G, axis=1)
     return caps
 
 
@@ -717,9 +809,8 @@ def shuffle_surrogate_threshold(inputs: np.ndarray, input_offset: int,
     worst = 0.0
     for _ in range(n_surrogates):
         shuffled = inputs[rng.permutation(len(inputs))]
-        caps = capacities(P, orthonormalize(
-            terms, shuffled, input_offset, xhat=xhat, start_row=start_row,
-            n_rows=n_rows, input_range=input_range))
+        caps = capacities(P, terms, shuffled, input_offset, xhat=xhat,
+                          start_row=start_row, n_rows=n_rows, input_range=input_range)
         worst = max(worst, caps[eligible].max(initial=0.0))
     return float(sigma * worst)
 
@@ -866,9 +957,8 @@ def analyze_states(states, inputs: np.ndarray, input_offset: int,
     terms = enumerate_bases(settings.max_degree, settings.max_input_delay,
                             lx, ns.rank, family, settings.term_cap)
     P_eval = normalize_states(ns.P[lx:], abs_floor=1e-12).P if lx > 0 else ns.P
-    caps = capacities(P_eval, orthonormalize(
-        terms, inputs, input_offset, xhat=ns.P, start_row=lx, n_rows=T_eval,
-        input_range=input_range))
+    caps = capacities(P_eval, terms, inputs, input_offset, xhat=ns.P, start_row=lx,
+                      n_rows=T_eval, input_range=input_range)
     if params["mode"] == "surrogate":
         th = shuffle_surrogate_threshold(
             inputs, input_offset, terms, P_eval, surrogate_rng, xhat=ns.P,

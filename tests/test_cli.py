@@ -162,13 +162,21 @@ class TestConfig:
          r"^reservoir\.noise_rate must be a number in \[0, 1\], got '0\.1'"),
         ({"reservoir": {"instances": "2"}},
          r"^reservoir\.instances must be an integer >= 1, got '2'"),
+        ({"out": 1.5}, r"^out must be a string, got 1\.5"),
+        ({"input": {"path": True}}, r"^input\.path must be a string or null, got True"),
+        ({"target": {"path": 1.5}}, r"^target\.path must be a string or null, got 1\.5"),
+        ({"ingest": {"states": "x"}}, r"^ingest\.states must be a list of strings, got 'x'"),
+        ({"reservoir": {"noise": 1.5}},
+         r"^reservoir\.noise must be null or a list of channels, got 1\.5"),
     ], ids=["split-train-float", "threads-float", "split-washout-string",
             "input-low-string", "esp-gamma-string", "input_scaling-string",
             "tipc-washout-float", "esn-configurations-float", "noise_rate-string",
-            "instances-string"])
+            "instances-string", "out-float", "input-path-bool", "target-path-float",
+            "ingest-states-string", "reservoir-noise-float"])
     def test_wrongly_typed_config_values_name_their_key(self, overlay, message):
         # the first two passed assemble and died in a bare TypeError in the
-        # run, the next three in validate; the rest were accepted
+        # run, the next three in validate; the rest were accepted, except
+        # reservoir.noise: 1.5, which died in a bare TypeError
         with pytest.raises(cfgmod.ConfigError, match=message):
             cfgmod.assemble(overlay)
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 
@@ -814,6 +815,116 @@ class TestCholeskySolver:
         assert np.abs(a.project(P) - reference_mgs(B)[0].T @ P).max() <= 1e-12
 
 
+@pytest.fixture
+def gate(monkeypatch):
+    """Whether each Gram/Cholesky gate passed, in call order."""
+    passed = []
+    gram_factor = tipc._gram_factor
+
+    def spy(*args, **kwargs):
+        R, FtP = gram_factor(*args, **kwargs)
+        passed.append(R is not None)
+        return R, FtP
+
+    monkeypatch.setattr(tipc, "_gram_factor", spy)
+    return passed
+
+
+class TestStreamedGram:
+    """A tall term list handed to capacities: its Gram is accumulated over row
+    panels, and the basis is never evaluated whole unless the gate refuses it."""
+
+    def _tall(self, rng, T, family="legendre", start_row=0, rank=0):
+        # tanh of noise as states, so that state terms do not repeat input terms
+        u = rng.uniform(-1, 1, size=T + start_row + 10)
+        kw = dict(n_rows=T, start_row=start_row, input_range=(-1.0, 1.0))
+        if rank:
+            kw["xhat"] = normalize_states(np.tanh(rng.normal(size=(T + start_row, rank)))).P
+        terms = enumerate_bases(2, 4, start_row, rank, family)
+        # non-zero column means: the constant's row of F^T P is read too
+        P = rng.normal(size=(T, 3)) + np.array([0.5, -1.0, 2.0])
+        return terms, u, 10, kw, P
+
+    @pytest.mark.parametrize("family", ["legendre", "monomial"])
+    @pytest.mark.parametrize("start_row,rank", [(0, 0), (2, 2)], ids=["inputs", "states"])
+    @pytest.mark.parametrize("T", [1000, tipc._PANEL_ROWS, tipc._PANEL_ROWS + 1,
+                                   2 * tipc._PANEL_ROWS - 1],
+                             ids=["below", "one", "one-plus-1", "two-minus-1"])
+    def test_matches_the_full_matrix(self, rng, gate, T, start_row, rank, family):
+        terms, u, off, kw, P = self._tall(rng, T, family, start_row, rank)
+        # the first panel reads state history as far back as start_row allows
+        assert max((s for t in terms for _, s, _ in t.state_exponents), default=0) \
+            == start_row
+        assert len(terms) * tipc._GRAM_MIN_ROWS_PER_COLUMN <= T
+        caps = capacities(P, terms, u, off, **kw)
+        assert gate == [True]
+        full = orthonormalize(evaluate_bases(terms, u, off, **kw))
+        assert full.kept == list(range(len(terms))) and full.dropped == []
+        assert np.abs(caps - capacities(P, full)).max() <= 1e-12
+
+    def test_panels_never_exceed_panel_rows(self, rng, gate, cells):
+        T = 2 * tipc._PANEL_ROWS + 100
+        terms, u, off, kw, P = self._tall(rng, T, start_row=2, rank=2)
+        capacities(P, terms, u, off, **kw)
+        assert gate == [True]
+        assert [rows for rows, _ in cells] == [tipc._PANEL_ROWS, tipc._PANEL_ROWS, 100]
+        assert all(B == len(terms) for _, B in cells)
+
+    def test_refused_basis_frees_its_panel_and_is_evaluated_whole(self, rng, gate,
+                                                                   monkeypatch):
+        T = tipc._PANEL_ROWS + 500
+        terms, u, off, kw, P = self._tall(rng, T, start_row=2, rank=2)
+        terms.insert(5, terms[2])   # a duplicated column
+        B = evaluate_bases(terms, u, off, **kw)
+        buffers = []
+        evaluate = tipc.evaluate_bases
+
+        def spy(*args, **kwargs):
+            block = evaluate(*args, **kwargs)
+            if len(block) == T:   # the whole basis comes after the panels are gone
+                assert all(ref() is None for _, ref in buffers)
+            buffers.append((len(block), weakref.ref(block if block.base is None
+                                                    else block.base)))
+            return block
+
+        monkeypatch.setattr(tipc, "evaluate_bases", spy)
+        caps = capacities(P, terms, u, off, **kw)
+        assert gate == [False]
+        assert [rows for rows, _ in buffers] == [tipc._PANEL_ROWS, 500, T]
+        ref_caps, kept, dropped = reference_capacities(P, B)
+        assert 5 in dropped and kept == [j for j in range(len(terms)) if j != 5]
+        assert np.abs(caps - ref_caps).max() <= 1e-12
+        assert caps[5] == 0.0
+
+    def test_errors_are_those_of_one_evaluation(self, rng, cells):
+        T = tipc._PANEL_ROWS + 500
+        terms, u, off, kw, P = self._tall(rng, T)
+        u[off + T - 1] = np.nan   # read by the last panel only
+        with pytest.raises(ValueError, match=rf"window \[7, {off + T}\) that {T} state"):
+            capacities(P, terms, u, off, **kw)
+        assert cells == []
+
+    def test_misaligned_states_are_refused(self, rng):
+        terms, u, off, kw, P = self._tall(rng, 1000)
+        with pytest.raises(ValueError, match="misaligned"):
+            capacities(P[1:], terms, u, off, **kw)
+
+    def test_tracemalloc_peak_stays_under_half_the_basis(self, rng):
+        # criterion-8 settings: 20,000 x 164 Legendre terms, 25.0 MiB whole
+        u = rng.uniform(-1, 1, size=20200)
+        y = u[200:] ** 2 + 0.3 * u[199:-1]
+        settings = TipcSettings(max_degree=3, max_input_delay=8, family="legendre")
+        assert len(enumerate_bases(3, 8, 0, 1, "legendre")) == 164
+        ipc_of_target(y, u, 200, settings, input_range=(-1, 1))   # loads LAPACK
+        tracemalloc.start()
+        try:
+            ipc_of_target(y, u, 200, settings, input_range=(-1, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 20000 * 164 * 8
+
+
 class TestCapacities:
     def test_exact_reconstruction_scores_one(self, rng):
         ns = normalize_states(rng.normal(size=(300, 3)))
@@ -1000,6 +1111,15 @@ class TestProfileJson:
         assert any("^2" in t.label() for t in prof.terms)
         self._check(prof, tmp_path)
 
+    def test_nan_capacity_is_written_as_json_does(self, rng, tmp_path):
+        # json.dumps writes NaN for each capacity once any is not finite
+        terms = enumerate_bases(2, 3, 0, 0, "legendre")
+        caps = rng.uniform(0, 0.1, size=len(terms))
+        caps[[1, 4]] = [np.nan, 0.0]
+        prof = profile(terms, caps, 0.05, 1, {"mode": "chi2", "p": 1e-4, "sigma": 2.0})
+        self._check(prof, tmp_path)
+        assert '"capacity": NaN' in (tmp_path / "fast.json").read_text()
+
     def test_rank_zero_profile(self, tmp_path):
         prof = profile([], np.zeros(0), float("nan"), 0)
         assert prof.degrees() == []
@@ -1170,13 +1290,25 @@ class TestSurrogateMode:
             return basis
 
         monkeypatch.setattr(tipc, "evaluate_bases", spy)
+        refused = []
+        gram_factor = tipc._gram_factor
+
+        def gate(*args, **kwargs):
+            R, FtP = gram_factor(*args, **kwargs)
+            refused.append(R is None)
+            return R, FtP
+
+        monkeypatch.setattr(tipc, "_gram_factor", gate)
         u, x, off = _echo_states(rng, 600)
         settings = TipcSettings(max_degree=2, max_input_delay=4, max_state_delay=1,
                                 family="legendre",
                                 threshold="surrogate", surrogates=3)
         analyze_states(x, u, off, settings, surrogate_rng=np.random.default_rng(3),
                        input_range=(-1, 1))
-        assert len(alive) == 4
+        # each analysis evaluates its one panel, and a basis that the Gram
+        # gate refuses is evaluated once more, whole
+        assert len(refused) == 4
+        assert len(alive) == 4 + sum(refused)
         assert all(ref() is None for ref in alive)
 
     def test_surrogate_mode_requires_rng(self, rng):
