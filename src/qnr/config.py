@@ -48,6 +48,7 @@ _TYPES = {
     "Optional[str]": (lambda v: v is None or type(v) is str, "a string or null"),
     "List[str]": (lambda v: type(v) is list and all(type(x) is str for x in v),
                   "a list of strings"),
+    "Dict": (lambda v: type(v) is dict, "a mapping"),
 }
 
 

@@ -314,11 +314,14 @@ def narma2(inputs: Sequence[float]) -> np.ndarray:
     u = np.asarray(inputs, dtype=float)
     if u.size and (u.min() < 0.0 or u.max() > 1.0):
         raise ValueError("narma2 inputs must lie in [0, 1]")
+    # on Python floats, a third of the time of numpy scalars, to the same bits;
+    # memoryviews yield and take them one at a time, without a list of them
     y = np.empty(len(u))
+    out = memoryview(y)
     y1 = y2 = 0.0
-    for t in range(len(u)):
-        ynew = 0.4 * y1 + 0.4 * y1 * y2 + 0.6 * (0.3 * u[t]) ** 3 + 0.1
-        y[t] = ynew
+    for t, ut in enumerate(memoryview(u)):
+        ynew = 0.4 * y1 + 0.4 * y1 * y2 + 0.6 * (0.3 * ut) ** 3 + 0.1
+        out[t] = ynew
         y2, y1 = y1, ynew
     return y
 

@@ -32,23 +32,26 @@ back to modified Gram-Schmidt when a QR pivot lies under twice the drop
 floor, so keep/drop decisions are Gram-Schmidt's.  A saturated term list,
 with at least as many terms as rows, is evaluated only as far as the QR
 reads it, the leading T - 1 columns, and in full only for Gram-Schmidt.
-Q is never formed: ``capacities`` applies Q^T from the factor.  Handed a
-tall term list with the states, ``capacities`` holds no basis at all: one
-pass evaluates it in row panels of ``_PANEL_ROWS`` into one buffer and adds
-each panel to the Gram matrix and to A^T P, and the whole basis is
-evaluated only where the Gram gate refuses it.  The solvers call seven
-compiled functions of scipy (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``,
-``dgeqrf``, ``dgeqrf_lwork``, ``dormqr``), which ``_blas_lapack`` loads on
-first use from scipy's ``linalg/_fblas`` and ``linalg/_flapack``
-extension files: every ``qnr`` command imports this
-module, and ``train``, ``esp`` and ``simulate`` never call them.  That
-load, ``import scipy`` included, takes 0.016-0.019 s and 4 MiB after numpy
-(2-core Xeon VM, scipy 1.17).  The ``scipy.linalg`` package, which holds
-the public wrappers, would cost another 0.18-0.28 s and 22 MiB per process,
-mostly because scipy's array-API shim imports ``numpy.f2py``,
-``numpy.testing`` and ``numpy.ma``.  ``scipy.special`` is not used: the
-Legendre polynomials and the chi-squared quantile are ported to numpy and
-``math`` below.
+Q is never formed: ``capacities`` applies Q^T from the factor.  Handed an
+unsaturated term list with the states, ``capacities`` holds at most one
+panel of ``_PANEL_ROWS`` rows of the basis: a tall one is first added panel
+by panel to its Gram matrix and to A^T P, and any basis the Gram path does
+not take streams through one Householder QR, ``dgeqrf`` on the first panel
+and ``dtpqrt`` against the running triangle on each later one; only
+Gram-Schmidt evaluates a basis whole.  The solvers call nine compiled
+functions of scipy (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``,
+``dgeqrf``, ``dgeqrf_lwork``, ``dormqr``, ``dtpqrt``, ``dtpmqrt``), which
+``_blas_lapack`` loads on first use from scipy's ``linalg/_fblas`` and
+``linalg/_flapack`` extension files, without importing the ``scipy``
+package: every ``qnr`` command imports this module, and ``train``, ``esp``
+and ``simulate`` never call them.  That load takes 4-7 ms and 3.8 MiB
+after numpy (2-core Xeon VM, scipy 1.17, under load from the other core);
+importing ``scipy`` first made it 14-21 ms and 4.6 MiB.  The
+``scipy.linalg`` package, which holds the public wrappers, would cost
+another 0.18-0.28 s and 22 MiB per process, mostly because scipy's
+array-API shim imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.
+``scipy.special`` is not used: the Legendre polynomials and the
+chi-squared quantile are ported to numpy and ``math`` below.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def normalize_states(X: np.ndarray, abs_floor: Optional[float] = None) -> Normal
     return NormalizedStates(P, sv, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisTerm:
     """One product basis of input and normalized-state history.
 
@@ -184,33 +187,36 @@ def _enumerate_bases(max_degree: int, max_input_delay: int, max_state_delay: int
         raise ValueError("max_degree and max_input_delay must be >= 1")
     if family not in ("monomial", "legendre"):
         raise ValueError(f"unknown basis family {family!r}")
-    # (feature k, or None for the input; delay s), in the sort key's order
+    # (feature k, or None for the input; delay s): combinations_with_replacement
+    # yields each degree's combinations in the reverse-lexicographic order of
+    # their exponent vectors over this list, so a stable sort on (state
+    # order, max delay) within the degree completes the evaluation order
     variables = [(None, s) for s in range(1, max_input_delay + 1)]
     variables += [(k, s) for s in range(1, max_state_delay + 1) for k in range(rank)]
-    keyed = []
+    shared: Dict[tuple, tuple] = {}   # every exponent entry and tuple, built once
+    terms: List[BasisTerm] = []
+    count = 0
     for degree in range(1, max_degree + 1):
+        buckets: Dict[Tuple[int, int], List[BasisTerm]] = {}
         for combo in itertools.combinations_with_replacement(range(len(variables)), degree):
-            neg = [0] * len(variables)
-            for vi in combo:
-                neg[vi] -= 1
             inp, sta = [], []
             for vi in dict.fromkeys(combo):
                 k, s = variables[vi]
-                if k is None:
-                    inp.append((s, -neg[vi]))
-                else:
-                    sta.append((k, s, -neg[vi]))
-            term = BasisTerm(input_exponents=tuple(inp),
-                             state_exponents=tuple(sorted(sta)), family=family)
+                entry = (s, combo.count(vi)) if k is None else (k, s, combo.count(vi))
+                (inp if k is None else sta).append(shared.setdefault(entry, entry))
+            inp, sta = tuple(inp), tuple(sorted(sta))
             state_order = degree - sum(e for _, e in inp)
             max_delay = max(variables[vi][1] for vi in combo)
-            keyed.append(((degree, state_order, max_delay, tuple(neg)), term))
-            if len(keyed) > term_cap:
+            buckets.setdefault((state_order, max_delay), []).append(
+                BasisTerm(shared.setdefault(inp, inp), shared.setdefault(sta, sta), family))
+            count += 1
+            if count > term_cap:
                 raise ValueError(
                     f"basis enumeration exceeds the term cap ({term_cap}); "
                     "reduce max_degree or the delay windows")
-    keyed.sort(key=lambda pair: pair[0])
-    return tuple(term for _, term in keyed)
+        for key in sorted(buckets):
+            terms.extend(buckets[key])
+    return tuple(terms)
 
 
 def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: int,
@@ -379,10 +385,15 @@ _GRAM_MAX_COND = 64.0
 # (its estimate is 68 at 4 rows per column, 36 at 6), so the Gram matrix
 # would be formed for nothing before the QR.
 _GRAM_MIN_ROWS_PER_COLUMN = 8
-# Rows per panel of a tall term list streamed into its Gram matrix.  Fixed,
-# not shrunk as the basis widens: dsyrk slows on short panels (the Gram of a
-# 19,998 x 2,299 basis took 3.02 s in 228-row panels, 2.26 s in 912-row ones).
-_PANEL_ROWS = 4096
+# Rows per panel of a term list streamed into its Gram matrix or its
+# Householder QR.  Fixed, not shrunk as the basis widens: dsyrk slows on short
+# panels (the Gram of a 19,998 x 2,299 basis took 3.02 s in 228-row panels,
+# 2.26 s in 912-row ones), and the streamed QR of that basis took 7.8-8.1 s
+# in 2,048-row panels against 7.6-8.5 s in 4,096-row ones, at half the panel.
+_PANEL_ROWS = 2048
+# Columns per block of dtpqrt's reflectors: on that basis 32 took 9.3 s, and
+# 128 no less time than 64.
+_TP_BLOCK = 64
 
 
 @functools.lru_cache(maxsize=None)
@@ -390,20 +401,29 @@ def _blas_lapack():
     """scipy's compiled BLAS and LAPACK wrappers, as the modules (blas, lapack).
 
     They are loaded from their files under their own dotted names, without
-    running ``scipy/linalg/__init__.py``.  CPython keeps one copy of such an
-    extension per (name, file), so a later ``import scipy.linalg`` finds
-    these modules and its ``blas.dsyrk`` and ``lapack.dgeqrf`` are the same
-    functions.
+    running ``scipy/__init__.py`` or ``scipy/linalg/__init__.py``: scipy's
+    directory comes from its import spec, and only a missing file reads the
+    version, from the distribution metadata beside that directory.  CPython
+    keeps one copy of such an extension per (name, file), so a later ``import
+    scipy.linalg`` finds these modules and its ``blas.dsyrk`` and
+    ``lapack.dgeqrf`` are the same functions.
     """
-    import scipy
-    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("the capacity solvers need scipy, which is not installed")
+    root = spec.submodule_search_locations[0]
+    where = os.path.join(root, "linalg")
     modules = []
     for name in ("_fblas", "_flapack"):
         paths = [os.path.join(where, name + suffix)
                  for suffix in importlib.machinery.EXTENSION_SUFFIXES]
         path = next((p for p in paths if os.path.isfile(p)), None)
         if path is None:
-            raise ImportError(f"no {name} extension in {where} (scipy {scipy.__version__})")
+            from importlib import metadata
+            dist = next(metadata.distributions(name="scipy", path=[os.path.dirname(root)]),
+                        None)
+            raise ImportError(f"no {name} extension in {where} "
+                              f"(scipy {dist.version if dist else 'of unknown version'})")
         spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -436,18 +456,15 @@ class Orthonormalized:
         kind, *factor = self._factor
         if kind == "gram_schmidt":
             return factor[0].T @ P
-        _, lapack = _blas_lapack()
         if kind == "householder":
             F, tau = factor
-            lwork = int(lapack.dormqr("L", "T", F, tau, P, -1)[1][0])
-            QtP, _, _ = lapack.dormqr("L", "T", F, tau, P, lwork)
-            return QtP[1:F.shape[1]]
+            return _apply_qt(F, tau, P)[1:F.shape[1]]
         # R^-T F^T P, with F^T P from P's column sums and A^T P
         A, R = factor
         FtP = np.empty((R.shape[0], P.shape[1]), order="F")
         FtP[0] = P.sum(axis=0) / np.sqrt(A.shape[0])
         FtP[1:] = A.T @ P
-        QtP, _ = lapack.dtrtrs(R, FtP, trans=1, overwrite_b=1)
+        QtP, _ = _blas_lapack()[1].dtrtrs(R, FtP, trans=1, overwrite_b=1)
         return QtP[1:]
 
 
@@ -458,8 +475,8 @@ def orthonormalize(basis, inputs: Optional[np.ndarray] = None, input_offset: int
     ``basis`` is the basis matrix, or its term list followed by the rest of
     ``evaluate_bases``' arguments (``inputs``, ``input_offset`` and its
     keywords), so that only the columns a solver reads are evaluated.  The
-    result of a tall basis holds the whole basis; ``capacities`` given the
-    term list reads a tall one in row panels instead.
+    result of an unsaturated basis holds the whole basis; ``capacities``
+    given the term list reads such a basis in row panels instead.
 
     A column is dropped as linearly dependent when its component orthogonal
     to the constant and to every earlier kept column has norm below
@@ -551,6 +568,7 @@ def _gram_factor(panels, T: int, B: int, floor: float, P: Optional[np.ndarray] =
         sums += np.ones(len(A)) @ A
         if P is not None:
             FtP[1:] += A.T @ P[row:row + len(A)]
+    del A   # the last panel: a streamed basis's buffer goes before the Gram's copies
     G = np.zeros((1 + B, 1 + B), order="F")
     G[1:, 1:] = AtA
     G[0, 0] = 1.0
@@ -562,7 +580,9 @@ def _gram_factor(panels, T: int, B: int, floor: float, P: Optional[np.ndarray] =
     # a pivot never exceeds its column's norm
     if not norms[1:].min() >= 2.0 * floor:
         return None, FtP
-    R, info = lapack.dpotrf(G / norms / norms[:, None], overwrite_a=1)
+    G /= norms   # in place, in the order of G / norms / norms[:, None]
+    G /= norms[:, None]
+    R, info = lapack.dpotrf(G, overwrite_a=1)
     if info != 0 or not lapack.dtrcon(R)[0] * _GRAM_MAX_COND >= 1.0:
         return None, FtP
     R *= norms
@@ -574,20 +594,61 @@ def _gram_factor(panels, T: int, B: int, floor: float, P: Optional[np.ndarray] =
 def _basis_panels(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: int,
                   xhat: Optional[np.ndarray] = None, start_row: int = 0,
                   n_rows: Optional[int] = None,
-                  input_range: Tuple[float, float] = (-1.0, 1.0)):
-    """The basis of ``evaluate_bases`` as (first row, block) pairs of
-    ``_PANEL_ROWS`` rows, the last one shorter, each evaluated into the same
-    column-major buffer.  All rows are checked before the first panel, so
-    the errors are those of one evaluation."""
+                  input_range: Tuple[float, float] = (-1.0, 1.0), *,
+                  constant: bool = False):
+    """The basis A of ``evaluate_bases``, or [constant | A] with
+    ``constant``, as (first row, block) pairs of ``_PANEL_ROWS`` rows, the
+    last one shorter, each evaluated into the same column-major buffer.  All
+    rows are checked before the first panel, so the errors are those of one
+    evaluation."""
     inputs = np.asarray(inputs, dtype=float)
-    T, B = _n_rows(xhat, start_row, n_rows), len(terms)
+    T, width = _n_rows(xhat, start_row, n_rows), int(constant) + len(terms)
     _checked_window(terms, inputs, input_offset, xhat, start_row, T, input_range)
-    buffer = np.empty(min(T, _PANEL_ROWS) * B)
+    buffer = np.empty(min(T, _PANEL_ROWS) * width)
     for row in range(0, T, _PANEL_ROWS):
         n = min(_PANEL_ROWS, T - row)
-        yield row, evaluate_bases(terms, inputs, input_offset, xhat, start_row + row, n,
-                                  input_range,
-                                  out=buffer[:n * B].reshape((n, B), order="F"))
+        block = buffer[:n * width].reshape((n, width), order="F")
+        block[:, :int(constant)] = 1.0 / np.sqrt(T)
+        evaluate_bases(terms, inputs, input_offset, xhat, start_row + row, n, input_range,
+                       out=block[:, int(constant):])
+        yield row, block
+
+
+def _householder_panels(panels, T: int, B: int, floor: float,
+                        P: np.ndarray) -> Optional[np.ndarray]:
+    """Solver 2 of ``orthonormalize`` on a T x B basis A, B < T, given as row
+    panels of [constant | A]: Q^T P on the B basis columns, or None where a
+    pivot (constant excluded) lies under twice the floor.
+
+    The first panel is factored by dgeqrf and its rows of P are rotated by
+    dormqr, so a basis of one panel is solved as the whole matrix is.  Each
+    later panel is folded into the running (1 + B)-square triangle by
+    dtpqrt, and a copy of its rows of P into the top 1 + B rows of Q^T P by
+    dtpmqrt; the copy keeps dtpmqrt from overwriting P itself.  A first
+    panel with fewer rows than columns leaves the triangle's lower rows
+    zero.  The pivots are read once every row has been folded in.
+    """
+    _, lapack = _blas_lapack()
+    for row, F in panels:
+        n = len(F)
+        if row == 0:
+            F, tau = _geqrf(F)
+            R, QtP = F, _apply_qt(F[:, :len(tau)], tau, P[:n])
+            if n < T:
+                k = len(tau)
+                R = np.zeros((1 + B, 1 + B), order="F")
+                R[:k] = F[:k]   # dtpqrt reads only its upper triangle
+                top = np.zeros((1 + B, P.shape[1]), order="F")
+                top[:k] = QtP[:k]
+                QtP = top
+        else:
+            R, V, Tk, _ = lapack.dtpqrt(0, min(_TP_BLOCK, 1 + B), R, F,
+                                        overwrite_a=1, overwrite_b=1)
+            QtP, _, _ = lapack.dtpmqrt(0, V, Tk, QtP, np.array(P[row:row + n], order="F"),
+                                       trans="T", overwrite_a=1, overwrite_b=1)
+    if not np.abs(np.diagonal(R)[1:]).min() >= 2.0 * floor:
+        return None
+    return QtP[1:1 + B]
 
 
 def _householder(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
@@ -602,6 +663,23 @@ def _householder(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
     return _qr(F, B, floor)
 
 
+def _geqrf(F: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """LAPACK's Householder QR of F, in place where F is column-major: the
+    reflectors below R, and their scalars."""
+    _, lapack = _blas_lapack()
+    # the lwork=-1 query of dgeqrf would copy the whole matrix
+    lwork = int(lapack.dgeqrf_lwork(*F.shape)[0])
+    F, tau, _, _ = lapack.dgeqrf(F, lwork=lwork, overwrite_a=1)
+    return F, tau
+
+
+def _apply_qt(F: np.ndarray, tau: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Q^T P, Q the reflectors of ``_geqrf``, into a new array."""
+    _, lapack = _blas_lapack()
+    lwork = int(lapack.dormqr("L", "T", F, tau, P, -1)[1][0])
+    return lapack.dormqr("L", "T", F, tau, P, lwork)[0]
+
+
 def _qr_buffer(T: int, m: int) -> np.ndarray:
     """The column-major T x (1 + m) input of ``_qr``, its constant filled in."""
     F = np.empty((T, 1 + m), order="F")
@@ -614,10 +692,7 @@ def _qr(F: np.ndarray, B: int, floor: float) -> Optional[Orthonormalized]:
     overwriting F, or None where a pivot lies under twice the floor.  The
     comparison is written so that NaN fails it."""
     m = F.shape[1] - 1
-    _, lapack = _blas_lapack()
-    # the lwork=-1 query of dgeqrf would copy the whole matrix
-    lwork = int(lapack.dgeqrf_lwork(*F.shape)[0])
-    F, tau, _, _ = lapack.dgeqrf(F, lwork=lwork, overwrite_a=1)
+    F, tau = _geqrf(F)
     if not np.abs(np.diagonal(F)[1:]).min() >= 2.0 * floor:
         return None
     return Orthonormalized(kept=list(range(m)), dropped=list(range(m, B)),
@@ -676,27 +751,35 @@ def capacities(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
     columns get 0.
 
     ``basis`` is an ``Orthonormalized``, or a term list followed by the rest
-    of ``evaluate_bases``' arguments, as for ``orthonormalize``.  A tall term
-    list (at least ``_GRAM_MIN_ROWS_PER_COLUMN`` rows per term) is never
-    evaluated whole while the Gram/Cholesky solver takes it: one pass
-    evaluates it in row panels of ``_PANEL_ROWS`` and adds each panel to its
-    Gram matrix and to A^T P, and the capacities are read from R^-T F^T P.
-    Where that gate fails, the basis is evaluated whole, after the panel is
-    freed, and goes to the Householder QR, then Gram-Schmidt.  Any other
-    term list goes through ``orthonormalize``.
+    of ``evaluate_bases``' arguments, as for ``orthonormalize``.  An
+    unsaturated term list (fewer terms than rows) is read in row panels of
+    ``_PANEL_ROWS``, each evaluated into one buffer, and is never held whole
+    unless Gram-Schmidt takes it.  A tall one (at least
+    ``_GRAM_MIN_ROWS_PER_COLUMN`` rows per term) first adds each panel to
+    its Gram matrix and to A^T P, and where the Gram gate passes the
+    capacities are read from R^-T F^T P.  Any other, and a tall one the gate
+    refuses, streams its panels through one Householder QR
+    (``_householder_panels``), whose gate is ``orthonormalize``'s second.
+    Where that gate fails, the basis is evaluated whole, after the panels
+    are freed, for Gram-Schmidt.  A saturated or empty term list goes
+    through ``orthonormalize``.
     """
     T = basis.n_rows if inputs is None else _n_rows(**evaluation)
     if T != P.shape[0]:
         raise ValueError("basis rows and state rows are misaligned")
-    if inputs is not None and _is_tall(T, len(basis)):
-        terms, floor = basis, _DROP_TOL * np.sqrt(T)
-        R, FtP = _gram_factor(_basis_panels(terms, inputs, input_offset, **evaluation),
-                              T, len(terms), floor, P)
-        if R is not None:
-            QtP, _ = _blas_lapack()[1].dtrtrs(R, FtP, trans=1, overwrite_b=1)
-            return np.sum(QtP[1:] * QtP[1:], axis=1)
-        A = evaluate_bases(terms, inputs, input_offset, **evaluation)
-        basis = _householder(A, floor) or _gram_schmidt(A, floor)
+    if inputs is not None and 0 < len(basis) < T:
+        terms, B, floor = basis, len(basis), _DROP_TOL * np.sqrt(T)
+        if _is_tall(T, B):
+            R, FtP = _gram_factor(_basis_panels(terms, inputs, input_offset, **evaluation),
+                                  T, B, floor, P)
+            if R is not None:
+                QtP, _ = _blas_lapack()[1].dtrtrs(R, FtP, trans=1, overwrite_b=1)
+                return np.sum(QtP[1:] * QtP[1:], axis=1)
+        QtP = _householder_panels(_basis_panels(terms, inputs, input_offset, **evaluation,
+                                                constant=True), T, B, floor, P)
+        if QtP is not None:
+            return np.sum(QtP * QtP, axis=1)
+        basis = _gram_schmidt(evaluate_bases(terms, inputs, input_offset, **evaluation), floor)
     elif inputs is not None:
         basis = orthonormalize(basis, inputs, input_offset, **evaluation)
     caps = np.zeros(len(basis.kept) + len(basis.dropped))

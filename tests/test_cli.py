@@ -168,15 +168,21 @@ class TestConfig:
         ({"ingest": {"states": "x"}}, r"^ingest\.states must be a list of strings, got 'x'"),
         ({"reservoir": {"noise": 1.5}},
          r"^reservoir\.noise must be null or a list of channels, got 1\.5"),
+        ({"ingest": {"metadata": [1, 2]}},
+         r"^ingest\.metadata must be a mapping, got \[1, 2\]"),
+        ({"ingest": {"metadata": "ab"}}, r"^ingest\.metadata must be a mapping, got 'ab'"),
     ], ids=["split-train-float", "threads-float", "split-washout-string",
             "input-low-string", "esp-gamma-string", "input_scaling-string",
             "tipc-washout-float", "esn-configurations-float", "noise_rate-string",
             "instances-string", "out-float", "input-path-bool", "target-path-float",
-            "ingest-states-string", "reservoir-noise-float"])
+            "ingest-states-string", "reservoir-noise-float", "ingest-metadata-list",
+            "ingest-metadata-string"])
     def test_wrongly_typed_config_values_name_their_key(self, overlay, message):
         # the first two passed assemble and died in a bare TypeError in the
         # run, the next three in validate; the rest were accepted, except
-        # reservoir.noise: 1.5, which died in a bare TypeError
+        # reservoir.noise: 1.5, which died in a bare TypeError, and
+        # ingest.metadata, which qnr tipc read only after writing every
+        # profile, dying in a bare IndexError or TypeError
         with pytest.raises(cfgmod.ConfigError, match=message):
             cfgmod.assemble(overlay)
 

@@ -260,6 +260,26 @@ class TestNarma2:
         with pytest.raises(ValueError):
             narma2(np.array([-0.2, 0.5]))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_numpy_scalar_loop_bit_for_bit(self, seed):
+        # the recurrence as it ran on numpy scalars, one array write per step
+        def numpy_loop(u):
+            y = np.empty(len(u))
+            y1 = y2 = 0.0
+            for t in range(len(u)):
+                ynew = 0.4 * y1 + 0.4 * y1 * y2 + 0.6 * (0.3 * u[t]) ** 3 + 0.1
+                y[t] = ynew
+                y2, y1 = y1, ynew
+            return y
+
+        u = np.random.default_rng(seed).uniform(0, 1, size=2000)
+        u[:5] = [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310]   # subnormals too
+        y = narma2(u)
+        assert y.dtype == np.float64
+        assert np.array_equal(y, numpy_loop(u))
+        assert np.array_equal(narma2(u[::3]), numpy_loop(u[::3]))   # a strided view
+        assert narma2(np.empty(0)).shape == (0,)
+
 
 class TestReadout:
     def test_realizable_target_fits_exactly(self, rng):

@@ -832,7 +832,8 @@ def gate(monkeypatch):
 
 class TestStreamedGram:
     """A tall term list handed to capacities: its Gram is accumulated over row
-    panels, and the basis is never evaluated whole unless the gate refuses it."""
+    panels, and the basis is never evaluated whole unless both the Gram gate
+    and the QR gate refuse it."""
 
     def _tall(self, rng, T, family="legendre", start_row=0, rank=0):
         # tanh of noise as states, so that state terms do not repeat input terms
@@ -890,7 +891,9 @@ class TestStreamedGram:
         monkeypatch.setattr(tipc, "evaluate_bases", spy)
         caps = capacities(P, terms, u, off, **kw)
         assert gate == [False]
-        assert [rows for rows, _ in buffers] == [tipc._PANEL_ROWS, 500, T]
+        # the Gram pass, the streamed QR, then Gram-Schmidt on the whole basis
+        assert [rows for rows, _ in buffers] == [tipc._PANEL_ROWS, 500,
+                                                 tipc._PANEL_ROWS, 500, T]
         ref_caps, kept, dropped = reference_capacities(P, B)
         assert 5 in dropped and kept == [j for j in range(len(terms)) if j != 5]
         assert np.abs(caps - ref_caps).max() <= 1e-12
@@ -923,6 +926,154 @@ class TestStreamedGram:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 20000 * 164 * 8
+
+
+class TestStreamedHouseholder:
+    """An unsaturated term list that the Gram path does not take, handed to
+    capacities: one Householder QR over row panels, the basis never whole."""
+
+    def _basis(self, rng, kind, T):
+        if kind == "gram-refused":
+            # monomials of inputs on [0, 1]: tall, but their Gram fails the
+            # condition bound
+            u = rng.uniform(0, 1, size=T + 10)
+            kw = dict(n_rows=T, input_range=(0.0, 1.0))
+            terms = enumerate_bases(3, 3, 0, 0, "monomial")
+        else:
+            u = rng.uniform(-1, 1, size=T + 12)
+            xhat = normalize_states(np.tanh(rng.normal(size=(T + 2, 2)))).P
+            kw = dict(xhat=xhat, start_row=2, n_rows=T, input_range=(-1.0, 1.0))
+            terms = enumerate_bases(2, 5, 2, 2, "legendre")
+        # one column for the monomials, as in a per-qubit analysis: a (T, 1)
+        # slice of it is both C- and F-contiguous, which numpy would not copy
+        cols = 1 if kind == "gram-refused" else 3
+        P = rng.normal(size=(T, cols)) + np.array([0.5, -1.0, 2.0])[:cols]
+        return terms, u, 10, kw, P
+
+    @pytest.mark.parametrize("kind", ["gram-refused", "not-tall"])
+    @pytest.mark.parametrize("panel,T", [(160, 160), (160, 161), (160, 319), (40, 319)],
+                             ids=["one", "one-plus-1", "two-minus-1", "wider-than-panel"])
+    def test_matches_the_full_matrix(self, rng, monkeypatch, gate, cells, solvers,
+                                     kind, panel, T):
+        monkeypatch.setattr(tipc, "_PANEL_ROWS", panel)
+        terms, u, off, kw, P = self._basis(rng, kind, T)
+        B = len(terms)
+        assert tipc._is_tall(T, B) == (kind == "gram-refused")
+        if panel == 40 and kind == "not-tall":
+            assert 1 + B > panel   # the first panel has fewer rows than columns
+        before = P.copy()
+        caps = capacities(P, terms, u, off, **kw)
+        assert P.tobytes() == before.tobytes()   # dtpmqrt rotated copies of P
+        assert gate == ([False] if kind == "gram-refused" else [])
+        assert solvers == []
+        assert all(rows <= panel for rows, _ in cells)
+        assert sum(rows for rows, _ in cells) == T * len(gate) + T
+        full = orthonormalize(evaluate_bases(terms, u, off, **kw))
+        assert full.kept == list(range(B)) and full.dropped == []
+        assert np.abs(caps - capacities(P, full)).max() <= 1e-12
+        assert np.all(caps > 0.0)
+
+    def test_one_panel_is_solved_as_the_whole_matrix(self, rng):
+        terms, u, off, kw, P = self._basis(rng, "not-tall", 319)
+        full = orthonormalize(evaluate_bases(terms, u, off, **kw))
+        assert full._factor[0] == "householder"
+        assert capacities(P, terms, u, off, **kw).tobytes() == \
+            capacities(P, full).tobytes()
+
+    def test_refused_qr_falls_back_to_gram_schmidt(self, rng, monkeypatch, cells,
+                                                   solvers):
+        monkeypatch.setattr(tipc, "_PANEL_ROWS", 40)
+        terms, u, off, kw, P = self._basis(rng, "not-tall", 319)
+        terms.insert(5, terms[2])   # a duplicated column
+        B = evaluate_bases(terms, u, off, **kw)
+        cells.clear()
+        before = P.copy()
+        caps = capacities(P, terms, u, off, **kw)
+        assert P.tobytes() == before.tobytes()
+        # eight panels for the QR, then the whole basis for Gram-Schmidt
+        assert [rows for rows, _ in cells] == [40] * 7 + [39, 319]
+        assert solvers == [("gram_schmidt", B.shape)]
+        ref_caps, kept, dropped = reference_capacities(P, B)
+        assert dropped == [5]
+        assert np.abs(caps - ref_caps).max() <= 1e-12
+        assert caps[5] == 0.0
+
+    def test_tracemalloc_peak_of_a_refused_basis_stays_under_half_of_it(self, rng, gate):
+        # 20,000 x 164 monomials of inputs on [0, 1] (25.0 MiB whole), whose
+        # Gram fails the condition bound
+        u = rng.uniform(0, 1, size=20200)
+        y = u[200:] ** 2 + 0.3 * u[199:-1]
+        settings = TipcSettings(max_degree=3, max_input_delay=8, family="monomial")
+        assert len(enumerate_bases(3, 8, 0, 1, "monomial")) == 164
+        ipc_of_target(y[:500], u[:700], 200, settings, input_range=(0, 1))  # loads LAPACK
+        gate.clear()
+        tracemalloc.start()
+        try:
+            prof = ipc_of_target(y, u, 200, settings, input_range=(0, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gate == [False]
+        assert prof.capacity.min() > 0.0   # the QR kept every column
+        assert peak < 0.5 * 20000 * 164 * 8
+
+
+class TestCapacityLedger:
+    """Capacities against the rank r of the normalized states: they sum to r
+    where the basis spans the states, and to at most r otherwise, on every
+    solver path (Dambre et al. 2012)."""
+
+    def _case(self, rng, T, in_span):
+        # states of Legendre factors of the inputs that the basis holds
+        u = rng.uniform(-1, 1, size=T + 10)
+        p1 = u[10:]
+        x = np.column_stack([p1 + 0.5 * (1.5 * u[9:-1] ** 2 - 0.5),
+                             u[8:-2] * u[7:-3] - 0.7 * u[9:-1],
+                             p1 * u[9:-1]])
+        if not in_span:
+            x = x + 0.3 * rng.normal(size=x.shape)
+        ns = normalize_states(x)
+        terms = enumerate_bases(2, 4, 0, 0, "legendre")
+        return terms, u, 10, dict(n_rows=T), ns.P, ns.rank
+
+    @pytest.mark.parametrize("in_span", [True, False], ids=["spanned", "tall"])
+    @pytest.mark.parametrize("path", ["cholesky", "streamed-gram", "one-panel-qr",
+                                      "streamed-qr", "gram-schmidt"])
+    def test_capacities_sum_to_the_rank(self, rng, monkeypatch, gate, solvers, cells,
+                                        path, in_span):
+        T = 400 if path in ("cholesky", "streamed-gram") else 100
+        terms, u, off, kw, P, r = self._case(rng, T, in_span)
+        assert r == 3 and len(terms) == 14
+        if path == "streamed-qr":
+            monkeypatch.setattr(tipc, "_PANEL_ROWS", 32)
+        if path == "gram-schmidt":
+            terms.insert(3, terms[1])   # a duplicated column
+        if path == "cholesky":
+            caps = capacities(P, orthonormalize(evaluate_bases(terms, u, off, **kw)))
+            assert solvers == [("cholesky", (T, len(terms)))]
+        else:
+            caps = capacities(P, terms, u, off, **kw)
+            assert gate == ([True] if path == "streamed-gram" else [])
+            assert solvers == ([("gram_schmidt", (T, len(terms)))]
+                               if path == "gram-schmidt" else [])
+            assert len(cells) == {"streamed-qr": 4, "gram-schmidt": 2}.get(path, 1)
+        if in_span:
+            assert abs(caps.sum() - r) <= 1e-12
+        else:
+            assert 0.5 < caps.sum() <= r + 1e-12
+
+    @pytest.mark.parametrize("duplicate", [False, True], ids=["qr", "gram-schmidt"])
+    def test_saturated_basis_sums_to_the_rank(self, rng, solvers, duplicate):
+        # more terms than rows: the kept vectors span R^T, whatever the states
+        u = rng.uniform(-1, 1, size=70)
+        P = normalize_states(np.tanh(rng.normal(size=(60, 4)))).P
+        terms = enumerate_bases(2, 10, 0, 0, "legendre")
+        if duplicate:
+            terms.insert(3, terms[1])
+        assert len(terms) >= 60
+        caps = capacities(P, terms, u, 10, n_rows=60)
+        assert [s for s, _ in solvers] == (["gram_schmidt"] if duplicate else [])
+        assert abs(caps.sum() - P.shape[1]) <= 1e-12
 
 
 class TestCapacities:
