@@ -22,23 +22,25 @@ column-centered before the SVD and every basis is orthogonalized against
 the constant, which is what makes the chi-squared error model for the
 capacities of uninformative terms apply.
 
-Solver.  ``orthonormalize`` takes the basis matrix, or the term list with
-the arguments of ``evaluate_bases``; it has no knobs: the constant always
-comes first and the drop floor is ``_DROP_TOL``.  It factors a tall,
-well-conditioned basis by Cholesky of its Gram matrix, which reads the
-column-major basis in place; any other basis, or one whose Gram factor
-fails its condition or pivot check, by one LAPACK Householder QR; and falls
-back to modified Gram-Schmidt when a QR pivot lies under twice the drop
-floor, so keep/drop decisions are Gram-Schmidt's.  A saturated term list,
-with at least as many terms as rows, is evaluated only as far as the QR
-reads it, the leading T - 1 columns, and in full only for Gram-Schmidt.
-Q is never formed: ``capacities`` applies Q^T from the factor.  Handed an
-unsaturated term list with the states, ``capacities`` holds at most one
-panel of ``_PANEL_ROWS`` rows of the basis: a tall one is first added panel
-by panel to its Gram matrix and to A^T P, and any basis the Gram path does
-not take streams through one Householder QR, ``dgeqrf`` on the first panel
-and ``dtpqrt`` against the running triangle on each later one; only
-Gram-Schmidt evaluates a basis whole.  The solvers call nine compiled
+Solver.  ``capacities(P, basis, ...)`` takes the basis matrix, or its term
+list followed by the arguments of ``evaluate_bases``; ``orthonormalize``
+takes the same and returns the keep/drop decisions only.  Both run one
+solver chain (``_project``), which has no knobs: the constant always comes
+first and the drop floor is ``_DROP_TOL``.  It factors a tall,
+well-conditioned basis by Cholesky of its Gram matrix; any other basis, or
+one whose Gram factor fails its condition or pivot check, by one LAPACK
+Householder QR of the constant and the leading min(B, T - 1) columns; and
+falls back to modified Gram-Schmidt on the whole basis when a QR pivot lies
+under twice the drop floor, so keep/drop decisions are Gram-Schmidt's.  Q
+is never formed: each solver applies Q^T to the states P.  A basis matrix is
+one panel, which the Gram pass reads in place and the QR copies after the
+constant.  A term list is evaluated in panels of ``_PANEL_ROWS`` rows, one
+panel held at a time: a tall one is added panel by panel to its Gram matrix
+and to A^T P, and the QR runs ``dgeqrf`` on the first panel and ``dtpqrt``
+against the running triangle on each later one.  A saturated term list,
+with at least as many terms as rows, is one panel of its leading T - 1
+columns, since its QR's triangle is as large as the whole basis; only
+Gram-Schmidt evaluates a term list whole.  The solvers call nine compiled
 functions of scipy (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``,
 ``dgeqrf``, ``dgeqrf_lwork``, ``dormqr``, ``dtpqrt``, ``dtpmqrt``), which
 ``_blas_lapack`` loads on first use from scipy's ``linalg/_fblas`` and
@@ -235,7 +237,7 @@ def evaluate_bases(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset:
     state power once per (feature, exponent), over the window that all delays
     span; a delay's factor is a slice of that window.  The result is
     column-major, so each term's column is contiguous for the solvers of
-    ``orthonormalize``.
+    ``capacities``.
 
     ``out``, an n_rows x k array with contiguous columns, receives the
     leading k columns only.  Every term is still checked, so the errors do
@@ -433,112 +435,103 @@ def _blas_lapack():
 
 @dataclass
 class Orthonormalized:
-    """Result of the sequential orthonormalization of the basis matrix.
-
-    ``kept`` and ``dropped`` index the basis columns.  The kept vectors
-    (constant excluded) are held as the factor of the solver that took the
-    basis: ``("cholesky", A, R)``, the basis A itself and the upper
-    triangular R of [constant | A] = Q R; ``("householder", F, tau)``,
-    LAPACK's QR of [constant | kept columns]; or ``("gram_schmidt", Q)``.
-    ``project`` is the one way to read them.
-    """
+    """Keep/drop decisions of the sequential orthonormalization: ``kept``
+    and ``dropped`` index the basis columns."""
 
     kept: List[int]
     dropped: List[int]
-    _factor: tuple = field(repr=False)
-
-    @property
-    def n_rows(self) -> int:
-        return self._factor[1].shape[0]
-
-    def project(self, P: np.ndarray) -> np.ndarray:
-        """Q^T P: coefficients of P's columns on the kept vectors (n_kept x r)."""
-        kind, *factor = self._factor
-        if kind == "gram_schmidt":
-            return factor[0].T @ P
-        if kind == "householder":
-            F, tau = factor
-            return _apply_qt(F, tau, P)[1:F.shape[1]]
-        # R^-T F^T P, with F^T P from P's column sums and A^T P
-        A, R = factor
-        FtP = np.empty((R.shape[0], P.shape[1]), order="F")
-        FtP[0] = P.sum(axis=0) / np.sqrt(A.shape[0])
-        FtP[1:] = A.T @ P
-        QtP, _ = _blas_lapack()[1].dtrtrs(R, FtP, trans=1, overwrite_b=1)
-        return QtP[1:]
 
 
 def orthonormalize(basis, inputs: Optional[np.ndarray] = None, input_offset: int = 0,
                    **evaluation) -> Orthonormalized:
-    """Sequential orthonormalization of the columns after the constant.
+    """Which columns after the constant the sequential orthonormalization
+    keeps, and which it drops.
 
     ``basis`` is the basis matrix, or its term list followed by the rest of
     ``evaluate_bases``' arguments (``inputs``, ``input_offset`` and its
-    keywords), so that only the columns a solver reads are evaluated.  The
-    result of an unsaturated basis holds the whole basis; ``capacities``
-    given the term list reads such a basis in row panels instead.
+    keywords), as for ``capacities``, whose solvers decide.
 
     A column is dropped as linearly dependent when its component orthogonal
     to the constant and to every earlier kept column has norm below
     ``_DROP_TOL * sqrt(T)``; once T vectors are kept (the constant included)
     they span R^T and every later column is dropped.  The constant centers
     every retained basis but is not reported.
+    """
+    T = len(basis) if inputs is None else _n_rows(**evaluation)
+    kept, dropped, _ = _project(np.empty((T, 0)), basis, inputs, input_offset, **evaluation)
+    return Orthonormalized(kept, dropped)
 
-    Three solvers are tried in turn; the first whose checks pass takes the
-    basis:
 
-    1. Gram/Cholesky, for a tall basis (at least
+def _project(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
+             input_offset: int = 0, **evaluation):
+    """(kept, dropped, Q^T P): the decisions of ``orthonormalize`` and the
+    coefficients of P's columns on the kept vectors (n_kept x r).
+
+    ``basis`` is a basis matrix, read as one panel, or a term list with the
+    rest of ``evaluate_bases``' arguments, read in the panels of
+    ``_basis_panels``.  Three solvers are tried in turn; the first whose
+    gate passes takes the basis:
+
+    1. ``_gram_factor``, for a tall basis (at least
        ``_GRAM_MIN_ROWS_PER_COLUMN`` rows per column, so it cannot saturate
        R^T): Cholesky of the column-equilibrated Gram matrix of the constant
-       and the basis, formed without copying the basis (``_gram_factor``,
-       which also takes the basis in row panels).  It passes when the
-       factorization succeeds, its condition estimate is at most
-       ``_GRAM_MAX_COND`` and every pivot R_jj (constant excluded) is at
-       least twice the floor; then every column is kept.
-    2. LAPACK Householder QR of the constant and the leading min(B, T - 1)
-       columns.  It passes when every |R_jj| (constant excluded) is at
-       least twice the floor; those columns are kept and the rest dropped.
-       A term list of B >= T terms (a saturated basis) evaluates only these
-       T - 1 columns, straight into the QR's buffer after the constant.
-    3. Modified Gram-Schmidt on the whole basis (``_GS_BLOCK`` columns per
-       matrix product, one re-orthogonalization pass), which applies the
-       drop rule column by column.  A saturated term list is evaluated in
-       full only here.
+       and the basis.  It passes when the factorization succeeds, its
+       condition estimate is at most ``_GRAM_MAX_COND`` and every pivot R_jj
+       (constant excluded) is at least twice the floor; then every column is
+       kept.
+    2. ``_householder_panels``, a Householder QR of the constant and the
+       leading m = min(B, T - 1) columns.  It passes when every |R_jj|
+       (constant excluded) is at least twice the floor; those columns are
+       kept and the rest dropped.
+    3. ``_gram_schmidt`` on the whole basis, which applies the drop rule
+       column by column.
 
     Real bases drop nothing before they saturate R^T.  Where 1 or 2 passes,
     Gram-Schmidt decides the same, because their pivots agree to rounding
     far inside the factor two; the condition bound keeps the Gram's squared
     conditioning to ~1e-12 relative.
     """
-    if inputs is not None:
-        terms = basis
-        T = _n_rows(**evaluation)
-        if len(terms) >= T >= 2:
-            floor = _DROP_TOL * np.sqrt(T)
-            F = _qr_buffer(T, T - 1)
-            evaluate_bases(terms, inputs, input_offset, **evaluation, out=F[:, 1:])
-            ortho = _qr(F, len(terms), floor)
-            del F   # a refused QR's buffer goes before the whole basis comes
-            return ortho or _gram_schmidt(
-                evaluate_bases(terms, inputs, input_offset, **evaluation), floor)
-        basis = evaluate_bases(terms, inputs, input_offset, **evaluation)
-    A = np.asarray(basis, dtype=float)
-    T, _ = A.shape
+    if inputs is None:
+        A = np.asarray(basis, dtype=float)
+        T, B = A.shape
+    else:
+        T, B = _n_rows(**evaluation), len(basis)
     if T == 0:
-        raise ValueError(f"basis has no rows (shape {A.shape})")
+        raise ValueError(f"basis has no rows (shape {(T, B)})")
+    if T != P.shape[0]:
+        raise ValueError("basis rows and state rows are misaligned")
+    if P.shape[1] == 0:
+        # dtpmqrt refuses a right-hand side without columns
+        kept, dropped, QtP = _project(np.zeros((T, 1)), basis, inputs, input_offset,
+                                      **evaluation)
+        return kept, dropped, QtP[:, :0]
+
+    def panels(columns: int, constant: bool):
+        if inputs is not None:
+            return _basis_panels(basis, inputs, input_offset, **evaluation,
+                                 columns=columns, constant=constant)
+        if not constant:
+            return [(0, A)]
+        F = np.empty((T, 1 + columns), order="F")
+        F[:, 0] = 1.0 / np.sqrt(T)
+        F[:, 1:] = A[:, :columns]
+        return [(0, F)]
+
     floor = _DROP_TOL * np.sqrt(T)
-    return _cholesky(A, floor) or _householder(A, floor) or _gram_schmidt(A, floor)
-
-
-def _cholesky(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
-    """Solver 1 of ``orthonormalize`` on a basis matrix, taken as one panel,
-    or None where its gate fails."""
-    T, B = A.shape
-    if not _is_tall(T, B):
-        return None
-    R, _ = _gram_factor([(0, A)], T, B, floor)
-    return None if R is None else Orthonormalized(kept=list(range(B)), dropped=[],
-                                                  _factor=("cholesky", A, R))
+    if _is_tall(T, B):
+        R, FtP = _gram_factor(panels(B, False), T, B, floor, P)
+        if R is not None:
+            QtP, _ = _blas_lapack()[1].dtrtrs(R, FtP, trans=1, overwrite_b=1)
+            return list(range(B)), [], QtP[1:]
+    m = min(B, T - 1)
+    if m > 0:
+        QtP = _householder_panels(panels(m, True), T, m, floor, P)
+        if QtP is not None:
+            return list(range(m)), list(range(m, B)), QtP
+    if inputs is not None:
+        A = evaluate_bases(basis, inputs, input_offset, **evaluation)
+    kept, dropped, Q = _gram_schmidt(A, floor)
+    return kept, dropped, Q.T @ P
 
 
 def _is_tall(T: int, B: int) -> bool:
@@ -546,36 +539,34 @@ def _is_tall(T: int, B: int) -> bool:
     return 0 < B and _GRAM_MIN_ROWS_PER_COLUMN * B <= T
 
 
-def _gram_factor(panels, T: int, B: int, floor: float, P: Optional[np.ndarray] = None):
+def _gram_factor(panels, T: int, B: int, floor: float, P: np.ndarray):
     """The Gram/Cholesky solver on a T x B basis A given as row panels:
     (R, F^T P) with R upper triangular, [constant | A] = F = Q R, or R None
-    where the gate fails.  F^T P is None without P.
+    where the gate fails.
 
-    ``panels`` yields (first row, block) pairs that stack to A; a basis
-    matrix is one panel.  Each block adds its A^T A by dsyrk, which reads a
-    column-major block in place and a row-major one as its transpose, its
-    column sums and with P its A^T P, each by a matrix product.  The Gram's
-    columns are scaled to unit norm before the factorization, so that the
-    condition estimate sees the directions of the basis, not the scales of
-    its columns.  Comparisons are written so that NaN fails them.
+    ``panels`` yields (first row, block) pairs that stack to A.  Each block
+    adds its A^T A by dsyrk, which reads a column-major block in place and a
+    row-major one as its transpose, and its column sums and A^T P, each by a
+    matrix product.  The Gram's columns are scaled to unit norm before the
+    factorization, so that the condition estimate sees the directions of the
+    basis, not the scales of its columns.  Comparisons are written so that
+    NaN fails them.
     """
     blas, lapack = _blas_lapack()
     AtA, sums = np.zeros((B, B), order="F"), np.zeros(B)
-    FtP = None if P is None else np.zeros((1 + B, P.shape[1]))
+    FtP = np.zeros((1 + B, P.shape[1]))
     for row, A in panels:
         a, trans = (A, 1) if A.flags.f_contiguous else (A.T, 0)
         AtA = blas.dsyrk(1.0, a, trans=trans, beta=1.0, c=AtA, overwrite_c=1)
         sums += np.ones(len(A)) @ A
-        if P is not None:
-            FtP[1:] += A.T @ P[row:row + len(A)]
+        FtP[1:] += A.T @ P[row:row + len(A)]
     del A   # the last panel: a streamed basis's buffer goes before the Gram's copies
     G = np.zeros((1 + B, 1 + B), order="F")
     G[1:, 1:] = AtA
     G[0, 0] = 1.0
     G[0, 1:] = sums / np.sqrt(T)
     del AtA
-    if P is not None:
-        FtP[0] = P.sum(axis=0) / np.sqrt(T)
+    FtP[0] = P.sum(axis=0) / np.sqrt(T)
     norms = np.sqrt(np.diagonal(G))
     # a pivot never exceeds its column's norm
     if not norms[1:].min() >= 2.0 * floor:
@@ -595,18 +586,22 @@ def _basis_panels(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: 
                   xhat: Optional[np.ndarray] = None, start_row: int = 0,
                   n_rows: Optional[int] = None,
                   input_range: Tuple[float, float] = (-1.0, 1.0), *,
-                  constant: bool = False):
-    """The basis A of ``evaluate_bases``, or [constant | A] with
-    ``constant``, as (first row, block) pairs of ``_PANEL_ROWS`` rows, the
-    last one shorter, each evaluated into the same column-major buffer.  All
-    rows are checked before the first panel, so the errors are those of one
+                  columns: int, constant: bool):
+    """The leading ``columns`` columns of the basis A of ``evaluate_bases``,
+    or [constant | them] with ``constant``, as (first row, block) pairs of
+    ``_PANEL_ROWS`` rows, the last one shorter, each evaluated into the same
+    column-major buffer.  A saturated term list, of at least as many terms
+    as rows, is one panel whatever its rows: its QR's triangle is as large as
+    the whole basis, so splitting it would save nothing.  All rows and terms
+    are checked before the first panel, so the errors are those of one
     evaluation."""
     inputs = np.asarray(inputs, dtype=float)
-    T, width = _n_rows(xhat, start_row, n_rows), int(constant) + len(terms)
+    T, width = _n_rows(xhat, start_row, n_rows), int(constant) + columns
     _checked_window(terms, inputs, input_offset, xhat, start_row, T, input_range)
-    buffer = np.empty(min(T, _PANEL_ROWS) * width)
-    for row in range(0, T, _PANEL_ROWS):
-        n = min(_PANEL_ROWS, T - row)
+    rows = T if len(terms) >= T else _PANEL_ROWS
+    buffer = np.empty(min(T, rows) * width)
+    for row in range(0, T, rows):
+        n = min(rows, T - row)
         block = buffer[:n * width].reshape((n, width), order="F")
         block[:, :int(constant)] = 1.0 / np.sqrt(T)
         evaluate_bases(terms, inputs, input_offset, xhat, start_row + row, n, input_range,
@@ -616,9 +611,10 @@ def _basis_panels(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: 
 
 def _householder_panels(panels, T: int, B: int, floor: float,
                         P: np.ndarray) -> Optional[np.ndarray]:
-    """Solver 2 of ``orthonormalize`` on a T x B basis A, B < T, given as row
+    """Solver 2 of ``_project`` on a T x B basis A, B < T, given as row
     panels of [constant | A]: Q^T P on the B basis columns, or None where a
-    pivot (constant excluded) lies under twice the floor.
+    pivot (constant excluded) lies under twice the floor.  The comparison is
+    written so that NaN fails it.
 
     The first panel is factored by dgeqrf and its rows of P are rotated by
     dormqr, so a basis of one panel is solved as the whole matrix is.  Each
@@ -632,10 +628,13 @@ def _householder_panels(panels, T: int, B: int, floor: float,
     for row, F in panels:
         n = len(F)
         if row == 0:
-            F, tau = _geqrf(F)
-            R, QtP = F, _apply_qt(F[:, :len(tau)], tau, P[:n])
+            # the lwork=-1 query of dgeqrf would copy the whole panel
+            F, tau, _, _ = lapack.dgeqrf(F, lwork=int(lapack.dgeqrf_lwork(*F.shape)[0]),
+                                         overwrite_a=1)
+            k = len(tau)
+            lwork = int(lapack.dormqr("L", "T", F[:, :k], tau, P[:n], -1)[1][0])
+            R, QtP = F, lapack.dormqr("L", "T", F[:, :k], tau, P[:n], lwork)[0]
             if n < T:
-                k = len(tau)
                 R = np.zeros((1 + B, 1 + B), order="F")
                 R[:k] = F[:k]   # dtpqrt reads only its upper triangle
                 top = np.zeros((1 + B, P.shape[1]), order="F")
@@ -651,56 +650,9 @@ def _householder_panels(panels, T: int, B: int, floor: float,
     return QtP[1:1 + B]
 
 
-def _householder(A: np.ndarray, floor: float) -> Optional[Orthonormalized]:
-    """Solver 2 of ``orthonormalize`` on a basis matrix, or None where its
-    gate fails."""
-    T, B = A.shape
-    m = min(B, T - 1)
-    if m == 0:
-        return None
-    F = _qr_buffer(T, m)
-    F[:, 1:] = A[:, :m]
-    return _qr(F, B, floor)
-
-
-def _geqrf(F: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """LAPACK's Householder QR of F, in place where F is column-major: the
-    reflectors below R, and their scalars."""
-    _, lapack = _blas_lapack()
-    # the lwork=-1 query of dgeqrf would copy the whole matrix
-    lwork = int(lapack.dgeqrf_lwork(*F.shape)[0])
-    F, tau, _, _ = lapack.dgeqrf(F, lwork=lwork, overwrite_a=1)
-    return F, tau
-
-
-def _apply_qt(F: np.ndarray, tau: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Q^T P, Q the reflectors of ``_geqrf``, into a new array."""
-    _, lapack = _blas_lapack()
-    lwork = int(lapack.dormqr("L", "T", F, tau, P, -1)[1][0])
-    return lapack.dormqr("L", "T", F, tau, P, lwork)[0]
-
-
-def _qr_buffer(T: int, m: int) -> np.ndarray:
-    """The column-major T x (1 + m) input of ``_qr``, its constant filled in."""
-    F = np.empty((T, 1 + m), order="F")
-    F[:, 0] = 1.0 / np.sqrt(T)
-    return F
-
-
-def _qr(F: np.ndarray, B: int, floor: float) -> Optional[Orthonormalized]:
-    """Householder QR of [constant | leading columns of a B-column basis],
-    overwriting F, or None where a pivot lies under twice the floor.  The
-    comparison is written so that NaN fails it."""
-    m = F.shape[1] - 1
-    F, tau = _geqrf(F)
-    if not np.abs(np.diagonal(F)[1:]).min() >= 2.0 * floor:
-        return None
-    return Orthonormalized(kept=list(range(m)), dropped=list(range(m, B)),
-                           _factor=("householder", F, tau))
-
-
-def _gram_schmidt(A: np.ndarray, floor: float) -> Orthonormalized:
-    """Blocked modified Gram-Schmidt with the drop rule of ``orthonormalize``.
+def _gram_schmidt(A: np.ndarray, floor: float) -> Tuple[List[int], List[int], np.ndarray]:
+    """Blocked modified Gram-Schmidt with the drop rule of ``orthonormalize``:
+    (kept, dropped, Q), Q the kept vectors without the constant.
 
     Columns are processed in blocks so the projections run as matrix
     products, which changes nothing about the result beyond float rounding.
@@ -741,8 +693,7 @@ def _gram_schmidt(A: np.ndarray, floor: float) -> Orthonormalized:
             Q[:, k] = v / nv
             kept.append(j0 + c)
             k += 1
-    return Orthonormalized(kept=kept, dropped=dropped,
-                           _factor=("gram_schmidt", Q[:, 1:k]))
+    return kept, dropped, Q[:, 1:k]
 
 
 def capacities(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
@@ -750,42 +701,15 @@ def capacities(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
     """C_i = ||P^T xi_i||^2 for each basis column, in column order; dropped
     columns get 0.
 
-    ``basis`` is an ``Orthonormalized``, or a term list followed by the rest
-    of ``evaluate_bases``' arguments, as for ``orthonormalize``.  An
-    unsaturated term list (fewer terms than rows) is read in row panels of
-    ``_PANEL_ROWS``, each evaluated into one buffer, and is never held whole
-    unless Gram-Schmidt takes it.  A tall one (at least
-    ``_GRAM_MIN_ROWS_PER_COLUMN`` rows per term) first adds each panel to
-    its Gram matrix and to A^T P, and where the Gram gate passes the
-    capacities are read from R^-T F^T P.  Any other, and a tall one the gate
-    refuses, streams its panels through one Householder QR
-    (``_householder_panels``), whose gate is ``orthonormalize``'s second.
-    Where that gate fails, the basis is evaluated whole, after the panels
-    are freed, for Gram-Schmidt.  A saturated or empty term list goes
-    through ``orthonormalize``.
+    ``basis`` is the basis matrix, or its term list followed by the rest of
+    ``evaluate_bases``' arguments (``inputs``, ``input_offset`` and its
+    keywords).  A term list is evaluated only as far as the solvers read it,
+    in row panels of ``_PANEL_ROWS``, and whole only for Gram-Schmidt (see
+    the module docstring).
     """
-    T = basis.n_rows if inputs is None else _n_rows(**evaluation)
-    if T != P.shape[0]:
-        raise ValueError("basis rows and state rows are misaligned")
-    if inputs is not None and 0 < len(basis) < T:
-        terms, B, floor = basis, len(basis), _DROP_TOL * np.sqrt(T)
-        if _is_tall(T, B):
-            R, FtP = _gram_factor(_basis_panels(terms, inputs, input_offset, **evaluation),
-                                  T, B, floor, P)
-            if R is not None:
-                QtP, _ = _blas_lapack()[1].dtrtrs(R, FtP, trans=1, overwrite_b=1)
-                return np.sum(QtP[1:] * QtP[1:], axis=1)
-        QtP = _householder_panels(_basis_panels(terms, inputs, input_offset, **evaluation,
-                                                constant=True), T, B, floor, P)
-        if QtP is not None:
-            return np.sum(QtP * QtP, axis=1)
-        basis = _gram_schmidt(evaluate_bases(terms, inputs, input_offset, **evaluation), floor)
-    elif inputs is not None:
-        basis = orthonormalize(basis, inputs, input_offset, **evaluation)
-    caps = np.zeros(len(basis.kept) + len(basis.dropped))
-    if basis.kept:
-        G = basis.project(P)         # n_kept x r
-        caps[basis.kept] = np.sum(G * G, axis=1)
+    kept, dropped, QtP = _project(P, basis, inputs, input_offset, **evaluation)
+    caps = np.zeros(len(kept) + len(dropped))
+    caps[kept] = np.sum(QtP * QtP, axis=1)
     return caps
 
 

@@ -131,11 +131,13 @@ def reference_mgs(A, drop_tol=1e-8):
     return Q[:, 1:k], kept, dropped
 
 
-def kept_vectors(ortho, A):
-    """The kept orthonormal vectors as columns, from ``project``, with
-    Gram-Schmidt's signs: each has a positive product with its basis column."""
-    Q = ortho.project(np.eye(ortho.n_rows)).T
-    return Q * np.sign(np.sum(Q * A[:, ortho.kept], axis=0))
+def kept_vectors(A):
+    """The kept orthonormal vectors of the basis matrix A as columns, read as
+    Q^T I, with Gram-Schmidt's signs: each has a positive product with its
+    basis column."""
+    kept, _, QtI = tipc._project(np.eye(len(A)), A)
+    Q = QtI.T
+    return Q * np.sign(np.sum(Q * A[:, kept], axis=0))
 
 
 def chi2_quantile_oracle(r: int, q: float) -> float:
@@ -357,7 +359,7 @@ class TestOrthonormalize:
         Q0, _ = np.linalg.qr(Q0)
         res = orthonormalize(Q0)
         assert res.kept == [0, 1, 2, 3]
-        Q = kept_vectors(res, Q0)
+        Q = kept_vectors(Q0)
         assert np.allclose(np.abs(Q.T @ Q0), np.eye(4), atol=1e-8)
 
     def test_duplicate_column_dropped(self, rng):
@@ -374,7 +376,7 @@ class TestOrthonormalize:
         t = np.linspace(0.01, 1, T)
         hilbertish = np.column_stack([t**k for k in range(12)])
         res = orthonormalize(hilbertish)
-        Q = kept_vectors(res, hilbertish)
+        Q = kept_vectors(hilbertish)
         G = Q.T @ Q
         assert np.abs(G - np.eye(G.shape[0])).max() <= 1e-8
         assert np.abs(np.linalg.norm(Q, axis=0) - 1).max() <= 1e-10
@@ -384,7 +386,7 @@ class TestOrthonormalize:
         res = orthonormalize(A)
         Qr, _ = np.linalg.qr(np.column_stack([np.ones(100), A]))
         # same nested spans after the constant: projectors agree
-        Q = kept_vectors(res, A)
+        Q = kept_vectors(A)
         P_mine = Q @ Q.T
         P_qr = Qr[:, 1:] @ Qr[:, 1:].T
         assert np.abs(P_mine - P_qr).max() <= 1e-8
@@ -393,12 +395,12 @@ class TestOrthonormalize:
         A = rng.normal(size=(150, 20))
         A[:, 7] = A[:, 4]        # a dropped column sends it to Gram-Schmidt
         monkeypatch.setattr(tipc, "_GS_BLOCK", 3)
-        a = orthonormalize(A)
+        a, qa = orthonormalize(A), kept_vectors(A)
         monkeypatch.setattr(tipc, "_GS_BLOCK", 64)
-        b = orthonormalize(A)
-        assert [s for s, _ in solvers] == ["gram_schmidt", "gram_schmidt"]
+        b, qb = orthonormalize(A), kept_vectors(A)
+        assert [s for s, _ in solvers] == ["gram_schmidt"] * 4
         assert a.kept == b.kept and a.dropped == b.dropped == [7]
-        assert np.abs(kept_vectors(a, A) - kept_vectors(b, A)).max() <= 1e-9
+        assert np.abs(qa - qb).max() <= 1e-9
 
 
     def test_wide_rank_deficient_basis_matches_reference(self, rng):
@@ -412,7 +414,7 @@ class TestOrthonormalize:
         # the late kept columns lose ~1e3 of their norm to the projection, so
         # any reordering of the same arithmetic moves Q by ~1e-12 here
         assert res.kept == kept and res.dropped == dropped
-        assert np.abs(kept_vectors(res, B) - Q).max() <= 1e-12
+        assert np.abs(kept_vectors(B) - Q).max() <= 1e-12
 
     def test_tall_legendre_basis_matches_reference(self, rng):
         u = rng.uniform(-1, 1, size=2100)
@@ -421,7 +423,7 @@ class TestOrthonormalize:
         Q, kept, dropped = reference_mgs(B)
         res = orthonormalize(B)
         assert res.kept == kept and res.dropped == dropped
-        assert np.abs(kept_vectors(res, B) - Q).max() <= 1e-12
+        assert np.abs(kept_vectors(B) - Q).max() <= 1e-12
 
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e9])
     def test_never_more_vectors_than_rows(self, rng, scale):
@@ -432,7 +434,7 @@ class TestOrthonormalize:
         res = orthonormalize(A)
         assert len(res.kept) <= T - 1
         full = np.column_stack([np.full(T, 1.0 / np.sqrt(T)),
-                                kept_vectors(res, A)])
+                                kept_vectors(A)])
         assert np.abs(full.T @ full - np.eye(full.shape[1])).max() <= 1e-12
 
     @pytest.mark.parametrize("factor,kept", [(0.5, [0]), (2.0, [0, 1])])
@@ -455,22 +457,26 @@ class TestOrthonormalize:
 
 @pytest.fixture
 def solvers(monkeypatch):
-    """(solver, basis shape) of every factorization that orthonormalize took."""
+    """(solver, (T, columns factored)) of every solver that took a basis:
+    "cholesky" for ``_gram_factor``, "householder" for
+    ``_householder_panels`` and "gram_schmidt" for ``_gram_schmidt``."""
     seen = []
 
-    def spy_on(name):
-        real = getattr(tipc, f"_{name}")
+    def spy_on(name, label, took):
+        real = getattr(tipc, name)
 
-        def spy(A, *args):
-            res = real(A, *args)
-            if res is not None:
-                seen.append((name, A.shape))
+        def spy(*args):
+            res = real(*args)
+            if took(res):
+                # (panels, T, B, ...) or (A, floor)
+                seen.append((label, args[0].shape if len(args) == 2 else args[1:3]))
             return res
 
-        monkeypatch.setattr(tipc, f"_{name}", spy)
+        monkeypatch.setattr(tipc, name, spy)
 
-    for name in ("cholesky", "householder", "gram_schmidt"):
-        spy_on(name)
+    spy_on("_gram_factor", "cholesky", lambda res: res[0] is not None)
+    spy_on("_householder_panels", "householder", lambda res: res is not None)
+    spy_on("_gram_schmidt", "gram_schmidt", lambda res: True)
     return seen
 
 
@@ -487,7 +493,8 @@ class TestHouseholderSolver:
                                                       (150, 149, "householder"),
                                                       (20000, 164, "cholesky")],
                              ids=["tall", "near-square", "wide", "taller"])
-    def test_capacities_match_reference(self, rng, solvers, n_rows, n_kept, solver):
+    def test_capacities_match_reference(self, rng, solvers, monkeypatch, n_rows, n_kept,
+                                        solver):
         u = rng.uniform(-1, 1, size=n_rows + 100)
         B = evaluate_bases(enumerate_bases(3, 8, 0, 0, "legendre"), u, 100,
                            n_rows=n_rows)
@@ -496,14 +503,16 @@ class TestHouseholderSolver:
         P = normalize_states(x + 0.01 * rng.normal(size=x.shape)).P
         caps, kept, dropped = reference_capacities(P, B)
         res = orthonormalize(B)
-        assert solvers == [(solver, B.shape)]
-        qr = tipc._householder(B, tipc._DROP_TOL * np.sqrt(n_rows))
-        assert res.kept == qr.kept == kept == list(range(n_kept))
-        assert res.dropped == qr.dropped == dropped
-        mine = capacities(P, res)
+        assert solvers == [(solver, (n_rows, n_kept))]
+        mine = capacities(P, B)
+        # no basis is tall: the QR takes it
+        monkeypatch.setattr(tipc, "_GRAM_MIN_ROWS_PER_COLUMN", n_rows + 1)
+        qr_kept, qr_dropped, qr = tipc._project(P, B)
+        assert solvers[-1] == ("householder", (n_rows, n_kept))
+        assert res.kept == qr_kept == kept == list(range(n_kept))
+        assert res.dropped == qr_dropped == dropped
         assert np.abs(np.array(mine) - caps).max() <= 1e-12
-        assert np.abs(np.sum(res.project(P) ** 2, axis=1)
-                      - np.sum(qr.project(P) ** 2, axis=1)).max() <= 1e-12
+        assert np.abs(mine[kept] - np.sum(qr ** 2, axis=1)).max() <= 1e-12
 
     def test_duplicate_early_column_falls_back(self, rng, solvers):
         u, x, off = _echo_states(rng, 60)
@@ -518,8 +527,8 @@ class TestHouseholderSolver:
         assert solvers == [("gram_schmidt", B.shape)]
         assert 5 in dropped and len(kept) == B.shape[0] - 1
         assert res.kept == kept and res.dropped == dropped
-        assert np.abs(kept_vectors(res, B) - Q).max() <= 1e-12
-        mine = capacities(P, res)
+        assert np.abs(kept_vectors(B) - Q).max() <= 1e-12
+        mine = capacities(P, B)
         assert np.abs(np.array(mine) - caps).max() <= 1e-12
 
     @pytest.mark.parametrize("factor,fallback,kept",
@@ -540,7 +549,9 @@ class TestHouseholderSolver:
     def test_nan_pivot_fails_the_gate(self, rng):
         A = rng.normal(size=(50, 3))
         A[7, 1] = np.nan
-        assert tipc._householder(A, tipc._DROP_TOL * np.sqrt(50)) is None
+        F = np.asfortranarray(np.column_stack([np.full(50, 1.0 / np.sqrt(50)), A]))
+        assert tipc._householder_panels([(0, F)], 50, 3, tipc._DROP_TOL * np.sqrt(50),
+                                        np.zeros((50, 1))) is None
 
     def test_import_leaves_scipy_linalg_out(self):
         # scipy is imported where it is used; every qnr command imports
@@ -651,7 +662,7 @@ class TestSaturatedBasis:
         assert res.kept == full.kept == list(range(T - 1))
         assert res.dropped == full.dropped
         P = normalize_states(kw["xhat"][2:], abs_floor=1e-12).P
-        assert np.array_equal(capacities(P, res), capacities(P, full))
+        assert np.array_equal(capacities(P, terms, u, off, **kw), capacities(P, B))
 
     def test_refused_qr_evaluates_the_whole_basis(self, rng, cells):
         terms, u, off, kw = self._wide(rng)
@@ -683,10 +694,12 @@ class TestSaturatedBasis:
         assert B.shape[1] > B.shape[0]
         P = normalize_states(ns.P[2:], abs_floor=1e-12).P
         solvers.clear()
-        assert np.array_equal(prof.capacity, capacities(P, orthonormalize(B)))
-        # the QR takes the tanh states' basis, Gram-Schmidt the echo states'
-        assert solvers == [("householder" if states == "tanh" else "gram_schmidt",
-                            B.shape)]
+        assert np.array_equal(prof.capacity, capacities(P, B))
+        # the QR takes the leading T - 1 columns of the tanh states' basis,
+        # Gram-Schmidt the whole of the echo states'
+        T = B.shape[0]
+        assert solvers == [("householder", (T, T - 1)) if states == "tanh"
+                           else ("gram_schmidt", B.shape)]
         if threshold == "surrogate":
             th = shuffle_surrogate_threshold(u, off, terms, P, np.random.default_rng(8),
                                              xhat=ns.P, start_row=2,
@@ -755,7 +768,7 @@ class TestCholeskySolver:
         assert solvers == [(solver, A.shape)]
         Q, kept, dropped = reference_mgs(A)
         assert res.kept == kept == [0, 1] and res.dropped == dropped == []
-        assert np.abs(kept_vectors(res, A) - Q).max() <= 1e-12
+        assert np.abs(kept_vectors(A) - Q).max() <= 1e-12
 
     @pytest.mark.parametrize("factor,solver,kept",
                              [(0.0, "gram_schmidt", [0]),
@@ -801,18 +814,29 @@ class TestCholeskySolver:
         _, kept, dropped = reference_mgs(hilbertish)
         assert res.kept == kept and res.dropped == dropped
 
-    def test_row_major_basis_reads_as_transpose(self, rng, solvers):
+    def test_row_major_basis_reads_as_transpose(self, rng, solvers, monkeypatch):
         u = rng.uniform(-1, 1, size=1100)
         B = evaluate_bases(enumerate_bases(2, 6, 0, 0, "legendre"), u, 100,
                            n_rows=1000)
         C = np.ascontiguousarray(B)
         P = rng.normal(size=(1000, 3)) + 0.5   # the constant's row matters too
-        a, b = orthonormalize(B), orthonormalize(C)
+        blocks = []
+        gram_factor = tipc._gram_factor
+
+        def spy(panels, *args):
+            panels = list(panels)
+            blocks.extend(block for _, block in panels)
+            return gram_factor(panels, *args)
+
+        monkeypatch.setattr(tipc, "_gram_factor", spy)
+        a_kept, _, a = tipc._project(P, B)
+        b_kept, _, b = tipc._project(P, C)
         assert [s for s, _ in solvers] == ["cholesky", "cholesky"]
-        assert a._factor[1] is B and b._factor[1] is C   # the basis, not a copy
-        assert a.kept == b.kept
-        assert np.abs(a.project(P) - b.project(P)).max() <= 1e-12
-        assert np.abs(a.project(P) - reference_mgs(B)[0].T @ P).max() <= 1e-12
+        assert len(blocks) == 2
+        assert blocks[0] is B and blocks[1] is C   # the basis, not a copy
+        assert a_kept == b_kept
+        assert np.abs(a - b).max() <= 1e-12
+        assert np.abs(a - reference_mgs(B)[0].T @ P).max() <= 1e-12
 
 
 @pytest.fixture
@@ -859,9 +883,10 @@ class TestStreamedGram:
         assert len(terms) * tipc._GRAM_MIN_ROWS_PER_COLUMN <= T
         caps = capacities(P, terms, u, off, **kw)
         assert gate == [True]
-        full = orthonormalize(evaluate_bases(terms, u, off, **kw))
+        A = evaluate_bases(terms, u, off, **kw)
+        full = orthonormalize(A)
         assert full.kept == list(range(len(terms))) and full.dropped == []
-        assert np.abs(caps - capacities(P, full)).max() <= 1e-12
+        assert np.abs(caps - capacities(P, A)).max() <= 1e-12
 
     def test_panels_never_exceed_panel_rows(self, rng, gate, cells):
         T = 2 * tipc._PANEL_ROWS + 100
@@ -965,20 +990,33 @@ class TestStreamedHouseholder:
         caps = capacities(P, terms, u, off, **kw)
         assert P.tobytes() == before.tobytes()   # dtpmqrt rotated copies of P
         assert gate == ([False] if kind == "gram-refused" else [])
-        assert solvers == []
+        assert solvers == [("householder", (T, B))]
         assert all(rows <= panel for rows, _ in cells)
         assert sum(rows for rows, _ in cells) == T * len(gate) + T
-        full = orthonormalize(evaluate_bases(terms, u, off, **kw))
+        A = evaluate_bases(terms, u, off, **kw)
+        full = orthonormalize(A)
         assert full.kept == list(range(B)) and full.dropped == []
-        assert np.abs(caps - capacities(P, full)).max() <= 1e-12
+        assert np.abs(caps - capacities(P, A)).max() <= 1e-12
         assert np.all(caps > 0.0)
 
-    def test_one_panel_is_solved_as_the_whole_matrix(self, rng):
-        terms, u, off, kw, P = self._basis(rng, "not-tall", 319)
-        full = orthonormalize(evaluate_bases(terms, u, off, **kw))
-        assert full._factor[0] == "householder"
-        assert capacities(P, terms, u, off, **kw).tobytes() == \
-            capacities(P, full).tobytes()
+    def test_one_panel_is_solved_as_the_whole_matrix(self, rng, monkeypatch, solvers,
+                                                     cells):
+        # an unsaturated basis within one panel, and a saturated one (more
+        # terms than rows), which is one panel whatever its rows
+        narrow = self._basis(rng, "not-tall", 319) + (tipc._PANEL_ROWS,)
+        wide = (enumerate_bases(2, 10, 0, 0, "legendre"), rng.uniform(-1, 1, size=70), 10,
+                dict(n_rows=60), normalize_states(np.tanh(rng.normal(size=(60, 4)))).P, 40)
+        for terms, u, off, kw, P, panel in (narrow, wide):
+            monkeypatch.setattr(tipc, "_PANEL_ROWS", panel)
+            T = len(P)
+            m = min(len(terms), T - 1)
+            solvers.clear()
+            cells.clear()
+            caps = capacities(P, terms, u, off, **kw)
+            assert cells == [(T, m)] and solvers == [("householder", (T, m))]
+            assert caps.tobytes() == \
+                capacities(P, evaluate_bases(terms, u, off, **kw)).tobytes()
+            assert solvers[1:] == [("householder", (T, m))]
 
     def test_refused_qr_falls_back_to_gram_schmidt(self, rng, monkeypatch, cells,
                                                    solvers):
@@ -997,6 +1035,24 @@ class TestStreamedHouseholder:
         assert dropped == [5]
         assert np.abs(caps - ref_caps).max() <= 1e-12
         assert caps[5] == 0.0
+
+    @pytest.mark.parametrize("T", [300, 100], ids=["gram-refused", "not-tall"])
+    def test_evaluation_states_of_rank_zero(self, rng, monkeypatch, gate, T):
+        # states that vary only in their history rows leave the evaluation P
+        # without columns, which dtpmqrt refuses as a right-hand side
+        X = np.zeros((T + 2, 2))
+        X[0, 0], X[1, 1] = 1.0, 0.5
+        u = rng.uniform(-1, 1, size=T + 12)
+        settings = TipcSettings(max_degree=2, max_input_delay=3, max_state_delay=2,
+                                family="legendre")
+        one = analyze_states(X, u, 10, settings, input_range=(-1, 1))
+        monkeypatch.setattr(tipc, "_PANEL_ROWS", 40)
+        gate.clear()
+        panels = analyze_states(X, u, 10, settings, input_range=(-1, 1))
+        assert gate == ([False] if T == 300 else [])
+        assert panels.rank == 2 and len(panels.terms) == 35
+        assert not panels.capacity.any()
+        assert dataio.profile_to_dict(panels) == dataio.profile_to_dict(one)
 
     def test_tracemalloc_peak_of_a_refused_basis_stays_under_half_of_it(self, rng, gate):
         # 20,000 x 164 monomials of inputs on [0, 1] (25.0 MiB whole), whose
@@ -1049,13 +1105,14 @@ class TestCapacityLedger:
         if path == "gram-schmidt":
             terms.insert(3, terms[1])   # a duplicated column
         if path == "cholesky":
-            caps = capacities(P, orthonormalize(evaluate_bases(terms, u, off, **kw)))
+            caps = capacities(P, evaluate_bases(terms, u, off, **kw))
             assert solvers == [("cholesky", (T, len(terms)))]
         else:
             caps = capacities(P, terms, u, off, **kw)
             assert gate == ([True] if path == "streamed-gram" else [])
-            assert solvers == ([("gram_schmidt", (T, len(terms)))]
-                               if path == "gram-schmidt" else [])
+            assert solvers == [({"streamed-gram": "cholesky",
+                                 "gram-schmidt": "gram_schmidt"}.get(path, "householder"),
+                                (T, len(terms)))]
             assert len(cells) == {"streamed-qr": 4, "gram-schmidt": 2}.get(path, 1)
         if in_span:
             assert abs(caps.sum() - r) <= 1e-12
@@ -1072,15 +1129,14 @@ class TestCapacityLedger:
             terms.insert(3, terms[1])
         assert len(terms) >= 60
         caps = capacities(P, terms, u, 10, n_rows=60)
-        assert [s for s, _ in solvers] == (["gram_schmidt"] if duplicate else [])
+        assert [s for s, _ in solvers] == (["gram_schmidt"] if duplicate else ["householder"])
         assert abs(caps.sum() - P.shape[1]) <= 1e-12
 
 
 class TestCapacities:
     def test_exact_reconstruction_scores_one(self, rng):
         ns = normalize_states(rng.normal(size=(300, 3)))
-        ortho = orthonormalize(ns.P[:, [1]].copy())
-        caps = capacities(ns.P, ortho)
+        caps = capacities(ns.P, ns.P[:, [1]].copy())
         assert caps[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_shuffled_bases_score_near_r_over_T(self, rng):
@@ -1090,27 +1146,26 @@ class TestCapacities:
         base = rng.normal(size=T)
         for _ in range(300):
             xi = base[rng.permutation(T)]
-            ortho = orthonormalize(xi[:, None].copy())
-            vals.append(capacities(ns.P, ortho)[0])
+            vals.append(capacities(ns.P, xi[:, None].copy())[0])
         assert np.mean(vals) == pytest.approx(r / T, rel=0.15)
 
     def test_total_capacity_bounded_by_rank(self, rng):
         ns = normalize_states(rng.normal(size=(200, 3)))
         B = rng.normal(size=(200, 40))
-        caps = capacities(ns.P, orthonormalize(B))
+        caps = capacities(ns.P, B)
         assert sum(caps) <= ns.rank + 1e-6
 
     def test_all_dropped_columns_score_zero(self, rng):
-        # no column is kept, so only the factor knows how many there are
+        # no column is kept, so only the decisions know how many there are
         ns = normalize_states(rng.normal(size=(50, 2)))
-        caps = capacities(ns.P, orthonormalize(np.full((50, 3), 3.3)))
+        caps = capacities(ns.P, np.full((50, 3), 3.3))
         assert caps.tolist() == [0.0, 0.0, 0.0]
 
     def test_misaligned_rows_rejected(self, rng):
         ns = normalize_states(rng.normal(size=(100, 2)))
-        ortho = orthonormalize(rng.normal(size=(90, 3)))
+        basis = rng.normal(size=(90, 3))
         with pytest.raises(ValueError):
-            capacities(ns.P, ortho)
+            capacities(ns.P, basis)
 
 
 class TestChi2Threshold:
@@ -1357,32 +1412,32 @@ class TestAnalyzeStates:
         exceed = 0
         for _ in range(n_terms):
             xi = base[rng.permutation(T)]
-            ortho = orthonormalize(xi[:, None].copy())
-            c = capacities(ns.P, ortho)[0]
+            c = capacities(ns.P, xi[:, None].copy())[0]
             exceed += c >= th
         assert exceed <= 3 * p * n_terms + 1
 
 
     def test_short_T_more_terms_than_rows(self, rng, monkeypatch):
         seen = []
+        project = tipc._project
 
-        def spy(basis, *args, **kwargs):
-            seen.append(orthonormalize(basis, *args, **kwargs))
-            return seen[-1]
+        def spy(P, basis, *args, **kwargs):
+            seen.append((len(P), project(P, basis, *args, **kwargs)))
+            return seen[-1][1]
 
-        monkeypatch.setattr(tipc, "orthonormalize", spy)
+        monkeypatch.setattr(tipc, "_project", spy)
         u, x, off = _echo_states(rng, 30)
         # p = 1e-2 keeps the rank-2 chi2 threshold (18.4 / 28) under 1
         settings = TipcSettings(max_degree=2, max_input_delay=6,
                                 max_state_delay=2, family="legendre", p=1e-2)
         prof = analyze_states(x, u, off, settings, input_range=(-1, 1))
         terms = enumerate_bases(2, 6, 2, prof.rank, "legendre")
-        (ortho,) = seen
-        assert len(terms) > ortho.n_rows
+        ((T, (kept, dropped, _)),) = seen
+        assert len(terms) > T
         assert len(prof.capacity) == len(prof.truncated) == len(terms)
         assert prof.terms == terms
-        assert len(ortho.kept) == ortho.n_rows - 1
-        assert all(prof.capacity[j] == 0.0 for j in ortho.dropped)
+        assert len(kept) == T - 1
+        assert all(prof.capacity[j] == 0.0 for j in dropped)
         assert sum(prof.capacity) <= prof.rank + 1e-9
 
 class TestSurrogateThreshold:
@@ -1405,13 +1460,13 @@ class TestSurrogateThreshold:
         delayed = [BasisTerm(input_exponents=((s, 1),), family="legendre")
                    for s in range(2, 12)]
         B = evaluate_bases(delayed, u, 300, n_rows=2000)
-        true_caps = list(capacities(ns.P, orthonormalize(B)))
+        true_caps = list(capacities(ns.P, B))
         surr_caps = []
         srng = np.random.default_rng(17)
         for _ in range(20):
             us = u[srng.permutation(len(u))]
             Bs = evaluate_bases(delayed, us, 300, n_rows=2000)
-            surr_caps += list(capacities(ns.P, orthonormalize(Bs)))
+            surr_caps += list(capacities(ns.P, Bs))
         se = math.sqrt(np.var(true_caps) / len(true_caps)
                        + np.var(surr_caps) / len(surr_caps))
         assert abs(np.mean(true_caps) - np.mean(surr_caps)) <= 4 * se + 1e-6
