@@ -41,19 +41,24 @@ against the running triangle on each later one.  A saturated term list,
 with at least as many terms as rows, is one panel of its leading T - 1
 columns, since its QR's triangle is as large as the whole basis; only
 Gram-Schmidt evaluates a term list whole.  The solvers call nine compiled
-functions of scipy (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``,
-``dgeqrf``, ``dgeqrf_lwork``, ``dormqr``, ``dtpqrt``, ``dtpmqrt``), which
-``_blas_lapack`` loads on first use from scipy's ``linalg/_fblas`` and
-``linalg/_flapack`` extension files, without importing the ``scipy``
-package: every ``qnr`` command imports this module, and ``train``, ``esp``
-and ``simulate`` never call them.  That load takes 4-7 ms and 3.8 MiB
-after numpy (2-core Xeon VM, scipy 1.17, under load from the other core);
-importing ``scipy`` first made it 14-21 ms and 4.6 MiB.  The
-``scipy.linalg`` package, which holds the public wrappers, would cost
-another 0.18-0.28 s and 22 MiB per process, mostly because scipy's
-array-API shim imports ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.
-``scipy.special`` is not used: the Legendre polynomials and the
-chi-squared quantile are ported to numpy and ``math`` below.
+functions (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``, ``dgeqrf``,
+``dgeqrf_lwork``, ``dormqr``, ``dtpqrt``, ``dtpmqrt``), which
+``_blas_lapack`` binds on first use: every ``qnr`` command imports this
+module, and ``train``, ``esp`` and ``simulate`` never call them.  Where
+numpy's own OpenBLAS exports them, as numpy's wheels do, ``_lapack`` binds
+them through ``ctypes`` in the library numpy has already loaded, so the
+solver shares numpy's thread pool and no second BLAS is mapped; that takes
+2.3-4.0 ms and 0.02 MiB after numpy, nearly all of it importing
+``_lapack``.  Elsewhere (numpy built on MKL, Accelerate or a system BLAS)
+scipy's ``linalg/_fblas`` and ``linalg/_flapack`` extension files are
+loaded without importing the ``scipy`` package, with scipy's own OpenBLAS:
+3.8-4.3 ms and 3.5 MiB per process (2-core Xeon VM, numpy 2.4 with
+OpenBLAS 0.3.31, scipy 1.17 with 0.3.30).  The ``scipy.linalg`` package,
+which holds the public wrappers, would cost another 0.18-0.28 s and 22 MiB
+per process, mostly because scipy's array-API shim imports ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma``.  ``scipy.special`` is not used: the
+Legendre polynomials and the chi-squared quantile are ported to numpy and
+``math`` below.
 """
 
 from __future__ import annotations
@@ -400,16 +405,24 @@ _TP_BLOCK = 64
 
 @functools.lru_cache(maxsize=None)
 def _blas_lapack():
-    """scipy's compiled BLAS and LAPACK wrappers, as the modules (blas, lapack).
+    """The solver's compiled BLAS and LAPACK functions, as (blas, lapack).
 
-    They are loaded from their files under their own dotted names, without
-    running ``scipy/__init__.py`` or ``scipy/linalg/__init__.py``: scipy's
-    directory comes from its import spec, and only a missing file reads the
-    version, from the distribution metadata beside that directory.  CPython
-    keeps one copy of such an extension per (name, file), so a later ``import
-    scipy.linalg`` finds these modules and its ``blas.dsyrk`` and
-    ``lapack.dgeqrf`` are the same functions.
+    Where numpy's own OpenBLAS exports them, as numpy's wheels do, both are
+    the module ``_lapack``, whose ``ctypes`` bindings run the solver in
+    numpy's library and thread pool.  Elsewhere (numpy on MKL, Accelerate or a
+    system BLAS) they are scipy's wrapper modules ``_fblas`` and
+    ``_flapack``, loaded from their files under their own dotted names,
+    without running ``scipy/__init__.py`` or ``scipy/linalg/__init__.py``:
+    scipy's directory comes from its import spec, and only a missing file
+    reads the version, from the distribution metadata beside that
+    directory.  CPython keeps one copy of such an extension per (name,
+    file), so a later ``import scipy.linalg`` finds these modules.  The
+    choice is made by looking at numpy's library, once per process (see the
+    module docstring for the cost of each).
     """
+    from . import _lapack
+    if _lapack.load():
+        return _lapack, _lapack
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ImportError("the capacity solvers need scipy, which is not installed")

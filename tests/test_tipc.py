@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from scipy.optimize import brentq
 from scipy.special import chdtri, eval_legendre
 
 import qnr.tipc as tipc
-from qnr import dataio
+from qnr import _lapack, dataio
 from qnr.reservoir import StateMatrix
 from qnr.tipc import (BasisTerm, TipcSettings, analyze_states, capacities,
                       chi2_threshold, enumerate_bases, evaluate_bases,
@@ -585,39 +586,47 @@ class TestHouseholderSolver:
             f"    cli.main([name, '--config', {str(tmp_path)!r} + f'/{{name}}.yaml',\n"
             f"              '--out', {str(tmp_path)!r} + f'/out_{{name}}'])\n"
             "assert 'scipy.linalg' not in sys.modules\n"
-            "print([m for m in sys.modules if m.startswith('scipy.special')])\n")
+            "print([m for m in sys.modules if m.startswith('scipy.special')])\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])\n")
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-2] == "[]"
+        # nor any scipy module: the solver runs in numpy's own LAPACK
         assert out.stdout.strip().splitlines()[-1] == "[]"
         profile_json = json.loads((tmp_path / "out_ipc" / "ipc_profile.json").read_text())
         assert profile_json["records"][0]["family"] == "legendre"
         assert (tmp_path / "out_tipc" / "profile_m0001.json").exists()
 
     def test_loaded_wrappers_match_scipy_linalg_loaded_after(self):
+        # numpy's wheels export the solver's functions: no scipy module loads
         src = os.path.dirname(os.path.dirname(tipc.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         script = (
-            "import sys\nimport numpy as np\nfrom qnr import tipc\n"
+            "import sys\nimport numpy as np\nfrom qnr import _lapack, tipc\n"
             + inspect.getsource(_solver_calls) +
             "loaded = _solver_calls(*tipc._blas_lapack())\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert tipc._blas_lapack() == (_lapack, _lapack)\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
             "import scipy.linalg\n"
             "reference = _solver_calls(scipy.linalg.blas, scipy.linalg.lapack)\n"
-            "print(all(a.tobytes() == b.tobytes() for a, b in zip(loaded, reference)),\n"
-            "      scipy.linalg.lapack.dgeqrf is tipc._blas_lapack()[1].dgeqrf)\n")
+            "print(len(loaded), all(a.tobytes() == b.tobytes()\n"
+            "                       for a, b in zip(loaded, reference)))\n")
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "True True"
+        assert out.stdout.strip() == "13 True"
 
     def test_loaded_wrappers_match_scipy_linalg_loaded_before(self):
         import scipy.linalg
         tipc._blas_lapack.cache_clear()
-        loaded = _solver_calls(*tipc._blas_lapack())
+        assert tipc._blas_lapack() == (_lapack, _lapack)
+        loaded = _solver_calls(_lapack, _lapack)
         reference = _solver_calls(scipy.linalg.blas, scipy.linalg.lapack)
+        assert len(loaded) == 13
         assert all(a.tobytes() == b.tobytes() for a, b in zip(loaded, reference))
 
     def test_missing_wrapper_file_names_directory_and_version(self, monkeypatch):
         import scipy
+        monkeypatch.setattr(_lapack, "_SUFFIX", "_missing")   # numpy's lookup fails
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
         tipc._blas_lapack.cache_clear()
         with pytest.raises(ImportError, match=rf"no _fblas extension in .*linalg "
@@ -736,15 +745,23 @@ class TestSaturatedBasis:
 
 
 def _solver_calls(blas, lapack):
-    """Outputs of the solver's seven compiled functions on one random input."""
+    """Outputs of the solver's nine compiled functions on one random input: a
+    Gram factor, and a Householder QR of two row panels, the second folded
+    into the first one's triangle as ``_householder_panels`` does."""
     rng = np.random.default_rng(11)
     A = np.asfortranarray(rng.normal(size=(40, 6)))
     G = blas.dsyrk(1.0, A, trans=1)
-    R, _ = lapack.dpotrf(G)
-    F, tau, _, _ = lapack.dgeqrf(A, lwork=int(lapack.dgeqrf_lwork(40, 6)[0]))
+    R, _ = lapack.dpotrf(G + np.triu(G, 1).T)   # the lower triangle is cleared
+    lwork = lapack.dgeqrf_lwork(40, 6)[0]
+    F, tau, _, _ = lapack.dgeqrf(A, lwork=int(lwork))
     lwork = int(lapack.dormqr("L", "T", F, tau, A, -1)[1][0])
+    QtA = lapack.dormqr("L", "T", F, tau, A, lwork)[0]
+    panel = np.asfortranarray(rng.normal(size=(30, 6)))
+    R2, V, Tk, _ = lapack.dtpqrt(0, 4, np.triu(F[:6]), panel)
+    top, bottom, _ = lapack.dtpmqrt(0, V, Tk, np.asfortranarray(QtA[:6, :2]),
+                                    np.asfortranarray(rng.normal(size=(30, 2))), trans="T")
     outs = [G, R, lapack.dtrcon(R)[0], lapack.dtrtrs(R, A.T[:, :3], trans=1)[0],
-            F, tau, lapack.dormqr("L", "T", F, tau, A, lwork)[0]]
+            lapack.dgeqrf_lwork(40, 6)[0], F, tau, QtA, R2, V, Tk, top, bottom]
     return [np.asarray(x) for x in outs]
 
 
@@ -1131,6 +1148,118 @@ class TestCapacityLedger:
         caps = capacities(P, terms, u, 10, n_rows=60)
         assert [s for s, _ in solvers] == (["gram_schmidt"] if duplicate else ["householder"])
         assert abs(caps.sum() - P.shape[1]) <= 1e-12
+
+
+class TestLapackBindings:
+    """The solver's functions bound to numpy's own OpenBLAS (``qnr._lapack``),
+    and scipy's wrappers where numpy's library lacks them."""
+
+    @pytest.mark.parametrize("basis", ["gram", "streamed-qr", "saturated", "gram-schmidt"])
+    def test_scipy_fallback_gives_the_same_capacities(self, rng, monkeypatch, solvers,
+                                                      tmp_path, basis):
+        # the fallback of a numpy whose library lacks the bound symbols
+        panel = tipc._PANEL_ROWS
+        if basis == "gram":
+            terms, u, off, kw, P, _ = TestCapacityLedger()._case(rng, 400, False)
+        elif basis == "streamed-qr":
+            # a tall basis that the Gram gate refuses, over two panels
+            panel = 160
+            terms, u, off, kw, P = TestStreamedHouseholder()._basis(rng, "gram-refused",
+                                                                    319)
+        else:
+            terms, u, off, kw = TestSaturatedBasis()._wide(rng)
+            if basis == "gram-schmidt":
+                terms.insert(5, terms[2])   # a duplicated early column
+            P = normalize_states(kw["xhat"][2:], abs_floor=1e-12).P
+        monkeypatch.setattr(tipc, "_PANEL_ROWS", panel)
+        capacities(P, terms, u, off, **kw)
+        solver = {"gram": "cholesky", "gram-schmidt": "gram_schmidt"}.get(basis,
+                                                                          "householder")
+        assert [s for s, _ in solvers] == [solver]
+        # one BLAS thread: with two, the two OpenBLAS builds' threaded kernels
+        # differ in the last bits of dtpqrt's block reflectors
+        (tmp_path / "case.pkl").write_bytes(pickle.dumps((terms, u, off, kw, P, panel)))
+        script = (
+            "import pickle, sys\nfrom qnr import _lapack, tipc\n"
+            "with open(sys.argv[1], 'rb') as fh:\n"
+            "    terms, u, off, kw, P, tipc._PANEL_ROWS = pickle.load(fh)\n"
+            "mine = tipc.capacities(P, terms, u, off, **kw)\n"
+            "_lapack._SUFFIX = '_missing'\n"
+            "tipc._blas_lapack.cache_clear()\n"
+            "print(tipc._blas_lapack()[1].__name__,\n"
+            "      mine.tobytes() == tipc.capacities(P, terms, u, off, **kw).tobytes())\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(tipc.__file__)))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "case.pkl")],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["scipy.linalg._flapack", "True"]
+
+    @pytest.mark.parametrize("name", ["dsyrk", "dpotrf", "dtrcon", "dtrtrs", "dgeqrf",
+                                      "dgeqrf_lwork", "dormqr", "dtpqrt", "dtpmqrt"])
+    def test_bad_arrays_and_illegal_arguments_raise(self, rng, name):
+        # float32, a row-major factor where the call reads one, a mismatched
+        # shape, and an argument that LAPACK refuses (info < 0): each raises
+        # ValueError, before the call or after it, in this process
+        assert _lapack.load()
+        blas = lapack = _lapack
+        F = np.asfortranarray(rng.normal(size=(8, 3)))
+        G = blas.dsyrk(1.0, F, trans=1) + 8.0 * np.eye(3, order="F")
+        R, _ = lapack.dpotrf(G)
+        qr, tau, _, _ = lapack.dgeqrf(F)
+        panel = np.asfortranarray(rng.normal(size=(5, 3)))
+        _, V, Tk, _ = lapack.dtpqrt(0, 2, R, panel)
+        C, top = np.asfortranarray(rng.normal(size=(8, 2))), np.zeros((3, 2), order="F")
+        f32, rows = (lambda x: x.astype(np.float32)), np.ascontiguousarray
+        # dsyrk copies a strided basis, as f2py does, and CBLAS reports no
+        # info; every argument of dpotrf, dtrcon and dtrtrs comes from the
+        # arrays, so their illegal one is forced through the shared call
+        cases = {
+            "dsyrk": [("float32", lambda: blas.dsyrk(1.0, f32(F))),
+                      ("shape", lambda: blas.dsyrk(1.0, F, trans=1, c=np.zeros((8, 8))))],
+            "dpotrf": [("float32", lambda: lapack.dpotrf(f32(G))),
+                       ("shape", lambda: lapack.dpotrf(F)),
+                       ("illegal", lambda: _lapack._lapack("dpotrf", "X", 3, G.copy(), 3))],
+            "dtrcon": [("float32", lambda: lapack.dtrcon(f32(R))),
+                       ("order", lambda: lapack.dtrcon(rows(R.T))),
+                       ("shape", lambda: lapack.dtrcon(F)),
+                       ("illegal", lambda: _lapack._lapack("dtrcon", "X", "U", "N", 3, R, 3,
+                                                           np.zeros(1), np.empty(9),
+                                                           np.empty(3, dtype=np.int64)))],
+            "dtrtrs": [("float32", lambda: lapack.dtrtrs(R, f32(C[:3]))),
+                       ("order", lambda: lapack.dtrtrs(rows(R.T), C[:3])),
+                       ("shape", lambda: lapack.dtrtrs(R, C)),
+                       ("illegal", lambda: _lapack._lapack("dtrtrs", "U", "X", "N", 3, 2, R,
+                                                           3, C[:3].copy(order="F"), 3))],
+            "dgeqrf": [("float32", lambda: lapack.dgeqrf(f32(F))),
+                       ("shape", lambda: lapack.dgeqrf(tau)),
+                       ("illegal", lambda: lapack.dgeqrf(F, lwork=0))],
+            "dgeqrf_lwork": [("illegal", lambda: lapack.dgeqrf_lwork(-1, 3))],
+            "dormqr": [("float32", lambda: lapack.dormqr("L", "T", qr, f32(tau), C, 8)),
+                       ("order", lambda: lapack.dormqr("L", "T", rows(qr), tau, C, 8)),
+                       ("shape", lambda: lapack.dormqr("L", "T", qr, tau, C[:5], 8)),
+                       ("illegal", lambda: lapack.dormqr("L", "T", qr, tau, C, 1))],
+            "dtpqrt": [("float32", lambda: lapack.dtpqrt(0, 2, f32(R), panel)),
+                       ("shape", lambda: lapack.dtpqrt(0, 2, R, F.T)),
+                       ("illegal", lambda: lapack.dtpqrt(0, 0, R, panel))],
+            "dtpmqrt": [("float32", lambda: lapack.dtpmqrt(0, V, f32(Tk), top, C[:5])),
+                        ("order", lambda: lapack.dtpmqrt(0, rows(V), Tk, top, C[:5])),
+                        ("shape", lambda: lapack.dtpmqrt(0, V, Tk, top, C)),
+                        ("illegal", lambda: lapack.dtpmqrt(0, V, Tk, top, C[:5],
+                                                           trans="X"))],
+        }
+        messages = {"float32": "must be float64", "order": "column-major",
+                    "shape": "must have", "illegal": "illegal value"}
+        for kind, call in cases[name]:
+            with pytest.raises(ValueError, match=messages[kind]):
+                call()
+        # a row-major array the call writes is copied, as scipy's wrappers do,
+        # and so is a strided basis, which the Gram pass reads by dsyrk
+        wide = rows(rng.normal(size=(8, 5)))
+        copies = {"dpotrf": lambda: lapack.dpotrf(rows(G))[0].tobytes()
+                  == lapack.dpotrf(G)[0].tobytes(),
+                  "dsyrk": lambda: blas.dsyrk(1.0, wide[:, :3], trans=1).tobytes()
+                  == blas.dsyrk(1.0, wide[:, :3].copy(order="F"), trans=1).tobytes()}
+        assert copies.get(name, lambda: True)()
 
 
 class TestCapacities:
