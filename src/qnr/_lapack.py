@@ -19,12 +19,11 @@ functions scan their inputs for NaN and return early, and the solver's
 gates must see a NaN as LAPACK computes with it.  Before any pointer reaches
 the library every array is checked to be float64 and its shape against the
 others.  An array the call writes is copied into a new column-major array,
-as f2py copies it, unless it is column-major and ``overwrite_*`` is set; so
-is the caller's basis that ``dsyrk`` reads, where it is strided.  Every
-other array the call only reads must already be column-major: in the
-solver each is a factor that an earlier call returned.  Every violation
-raises ValueError, and so does an illegal argument that LAPACK reports
-(info < 0).
+as f2py copies it, unless it is column-major and ``overwrite_*`` is set.
+An array the call only reads must already be column-major: in the solver
+each is a basis panel or a factor that an earlier call returned.  Every
+violation raises ValueError, and so does an illegal argument that LAPACK
+reports (info < 0).
 """
 
 from __future__ import annotations
@@ -122,8 +121,8 @@ def _lapack(name: str, *args) -> int:
 
 def dsyrk(alpha, a, beta=0.0, c=None, trans=0, overwrite_c=0):
     """c = alpha a a^T + beta c, or alpha a^T a + beta c with ``trans``,
-    upper triangle.  A strided a is copied, as f2py copies it."""
-    a = np.asfortranarray(_checked("a", a, 2))
+    upper triangle."""
+    a = _read("a", a)
     n, k = a.shape[::-1] if trans else a.shape
     if c is None:
         c = np.zeros((n, n), order="F")

@@ -80,6 +80,9 @@ def _read_numeric_csv(path, expected_first: str, min_cols: int,
             vals = [float(p) for p in parts]
         except ValueError:
             raise IngestError(f"{path}:{i}: non-numeric field") from None
+        if vals[0] != i - 2:
+            # a trace's rows are analysed in file order, so t must count them
+            raise IngestError(f"{path}:{i}: t must be {i - 2}, got {parts[0].strip()!r}")
         if any(math.isnan(v) or math.isinf(v) for v in vals[1:]):
             raise IngestError(f"{path}:{i}: NaN or Inf value")
         out[i - 2] = vals

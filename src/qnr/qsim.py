@@ -220,49 +220,12 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(0.5 * np.abs(eig).sum())
 
 
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
-
-
-def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Reduced state on the kept qubits (ascending index order)."""
-    n = _n_qubits_of(rho)
-    keep = sorted(keep)
-    tens = rho.reshape((2,) * (2 * n))
-    cur = n
-    for q in sorted(set(range(n)) - set(keep), reverse=True):
-        tens = np.trace(tens, axis1=q, axis2=cur + q)
-        cur -= 1
-    dim = 2 ** len(keep)
-    return tens.reshape(dim, dim)
-
-
 def _n_qubits_of(rho: np.ndarray) -> int:
     dim = rho.shape[0]
     n = int(round(np.log2(dim)))
     if rho.shape != (dim, dim) or 2**n != dim:
         raise ValueError(f"not a density matrix shape: {rho.shape}")
     return n
-
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Extended Bloch vector (1, rx, ry, rz) of a single-qubit state."""
-    if rho.shape != (2, 2):
-        raise ValueError("bloch_vector expects a single-qubit state")
-    return np.array(
-        [
-            1.0,
-            float(np.real(np.trace(rho @ PAULI_X))),
-            float(np.real(np.trace(rho @ PAULI_Y))),
-            float(np.real(np.trace(rho @ PAULI_Z))),
-        ]
-    )
-
-
-def density_from_bloch(r: np.ndarray) -> np.ndarray:
-    """Single-qubit state from an extended Bloch vector (1, rx, ry, rz)."""
-    _, rx, ry, rz = r
-    return 0.5 * (I2 + rx * PAULI_X + ry * PAULI_Y + rz * PAULI_Z)
 
 
 def haar_product_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:

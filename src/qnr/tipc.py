@@ -32,14 +32,15 @@ one whose Gram factor fails its condition or pivot check, by one LAPACK
 Householder QR of the constant and the leading min(B, T - 1) columns; and
 falls back to modified Gram-Schmidt on the whole basis when a QR pivot lies
 under twice the drop floor, so keep/drop decisions are Gram-Schmidt's.  Q
-is never formed: each solver applies Q^T to the states P.  A basis matrix is
-one panel, which the Gram pass reads in place and the QR copies after the
-constant.  A term list is evaluated in panels of ``_PANEL_ROWS`` rows, one
-panel held at a time: a tall one is added panel by panel to its Gram matrix
-and to A^T P, and the QR runs ``dgeqrf`` on the first panel and ``dtpqrt``
-against the running triangle on each later one.  A saturated term list,
-with at least as many terms as rows, is one panel of its leading T - 1
-columns, since its QR's triangle is as large as the whole basis; only
+is never formed: each solver applies Q^T to the states P.  The Gram pass and
+the QR read the same column-major row panels of [constant | A]: a basis
+matrix is copied after the constant into one panel, and a term list is
+evaluated in panels of ``_PANEL_ROWS`` rows, one panel held at a time.  A
+tall basis is added panel by panel to the Gram matrix of [constant | A] and
+to its product with P, and the QR runs ``dgeqrf`` on the first panel and
+``dtpqrt`` against the running triangle on each later one.  A saturated
+term list, with at least as many terms as rows, is one panel of its leading
+T - 1 columns, since its QR's triangle is as large as the whole basis; only
 Gram-Schmidt evaluates a term list whole.  The solvers call nine compiled
 functions (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``, ``dgeqrf``,
 ``dgeqrf_lwork``, ``dormqr``, ``dtpqrt``, ``dtpmqrt``), which
@@ -480,10 +481,11 @@ def _project(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
     """(kept, dropped, Q^T P): the decisions of ``orthonormalize`` and the
     coefficients of P's columns on the kept vectors (n_kept x r).
 
-    ``basis`` is a basis matrix, read as one panel, or a term list with the
-    rest of ``evaluate_bases``' arguments, read in the panels of
-    ``_basis_panels``.  Three solvers are tried in turn; the first whose
-    gate passes takes the basis:
+    ``basis`` is a basis matrix A, or a term list with the rest of
+    ``evaluate_bases``' arguments.  The first two solvers read [constant | A]
+    in row panels: a matrix's one copy, or the panels of ``_basis_panels``.
+    Three solvers are tried in turn; the first whose gate passes takes the
+    basis:
 
     1. ``_gram_factor``, for a tall basis (at least
        ``_GRAM_MIN_ROWS_PER_COLUMN`` rows per column, so it cannot saturate
@@ -519,12 +521,9 @@ def _project(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
                                       **evaluation)
         return kept, dropped, QtP[:, :0]
 
-    def panels(columns: int, constant: bool):
+    def panels(columns: int):
         if inputs is not None:
-            return _basis_panels(basis, inputs, input_offset, **evaluation,
-                                 columns=columns, constant=constant)
-        if not constant:
-            return [(0, A)]
+            return _basis_panels(basis, inputs, input_offset, **evaluation, columns=columns)
         F = np.empty((T, 1 + columns), order="F")
         F[:, 0] = 1.0 / np.sqrt(T)
         F[:, 1:] = A[:, :columns]
@@ -532,13 +531,12 @@ def _project(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
 
     floor = _DROP_TOL * np.sqrt(T)
     if _is_tall(T, B):
-        R, FtP = _gram_factor(panels(B, False), T, B, floor, P)
-        if R is not None:
-            QtP, _ = _blas_lapack()[1].dtrtrs(R, FtP, trans=1, overwrite_b=1)
-            return list(range(B)), [], QtP[1:]
+        QtP = _gram_factor(panels(B), T, B, floor, P)
+        if QtP is not None:
+            return list(range(B)), [], QtP
     m = min(B, T - 1)
     if m > 0:
-        QtP = _householder_panels(panels(m, True), T, m, floor, P)
+        QtP = _householder_panels(panels(m), T, m, floor, P)
         if QtP is not None:
             return list(range(m)), list(range(m, B)), QtP
     if inputs is not None:
@@ -552,73 +550,61 @@ def _is_tall(T: int, B: int) -> bool:
     return 0 < B and _GRAM_MIN_ROWS_PER_COLUMN * B <= T
 
 
-def _gram_factor(panels, T: int, B: int, floor: float, P: np.ndarray):
-    """The Gram/Cholesky solver on a T x B basis A given as row panels:
-    (R, F^T P) with R upper triangular, [constant | A] = F = Q R, or R None
-    where the gate fails.
+def _gram_factor(panels, T: int, B: int, floor: float,
+                 P: np.ndarray) -> Optional[np.ndarray]:
+    """Solver 1 of ``_project`` on a T x B basis A given as row panels of
+    [constant | A] = F: Q^T P on the B basis columns, or None where the gate
+    fails.
 
-    ``panels`` yields (first row, block) pairs that stack to A.  Each block
-    adds its A^T A by dsyrk, which reads a column-major block in place and a
-    row-major one as its transpose, and its column sums and A^T P, each by a
-    matrix product.  The Gram's columns are scaled to unit norm before the
-    factorization, so that the condition estimate sees the directions of the
-    basis, not the scales of its columns.  Comparisons are written so that
-    NaN fails them.
+    Each panel adds its F^T F by dsyrk and its F^T P by a matrix product.
+    The Gram's columns are scaled to unit norm before the factorization, so
+    that the condition estimate sees the directions of the basis, not the
+    scales of its columns.  With F = Q R, Q^T P = R^-T F^T P, by dtrtrs.
+    Comparisons are written so that NaN fails them.
     """
     blas, lapack = _blas_lapack()
-    AtA, sums = np.zeros((B, B), order="F"), np.zeros(B)
-    FtP = np.zeros((1 + B, P.shape[1]))
-    for row, A in panels:
-        a, trans = (A, 1) if A.flags.f_contiguous else (A.T, 0)
-        AtA = blas.dsyrk(1.0, a, trans=trans, beta=1.0, c=AtA, overwrite_c=1)
-        sums += np.ones(len(A)) @ A
-        FtP[1:] += A.T @ P[row:row + len(A)]
-    del A   # the last panel: a streamed basis's buffer goes before the Gram's copies
     G = np.zeros((1 + B, 1 + B), order="F")
-    G[1:, 1:] = AtA
-    G[0, 0] = 1.0
-    G[0, 1:] = sums / np.sqrt(T)
-    del AtA
-    FtP[0] = P.sum(axis=0) / np.sqrt(T)
+    FtP = np.zeros((1 + B, P.shape[1]), order="F")
+    for row, F in panels:
+        G = blas.dsyrk(1.0, F, trans=1, beta=1.0, c=G, overwrite_c=1)
+        FtP += F.T @ P[row:row + len(F)]
     norms = np.sqrt(np.diagonal(G))
     # a pivot never exceeds its column's norm
     if not norms[1:].min() >= 2.0 * floor:
-        return None, FtP
+        return None
     G /= norms   # in place, in the order of G / norms / norms[:, None]
     G /= norms[:, None]
     R, info = lapack.dpotrf(G, overwrite_a=1)
     if info != 0 or not lapack.dtrcon(R)[0] * _GRAM_MAX_COND >= 1.0:
-        return None, FtP
+        return None
     R *= norms
     if not np.diagonal(R)[1:].min() >= 2.0 * floor:
-        return None, FtP
-    return R, FtP
+        return None
+    return lapack.dtrtrs(R, FtP, trans=1, overwrite_b=1)[0][1:]
 
 
 def _basis_panels(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: int,
                   xhat: Optional[np.ndarray] = None, start_row: int = 0,
                   n_rows: Optional[int] = None,
-                  input_range: Tuple[float, float] = (-1.0, 1.0), *,
-                  columns: int, constant: bool):
-    """The leading ``columns`` columns of the basis A of ``evaluate_bases``,
-    or [constant | them] with ``constant``, as (first row, block) pairs of
-    ``_PANEL_ROWS`` rows, the last one shorter, each evaluated into the same
-    column-major buffer.  A saturated term list, of at least as many terms
-    as rows, is one panel whatever its rows: its QR's triangle is as large as
-    the whole basis, so splitting it would save nothing.  All rows and terms
-    are checked before the first panel, so the errors are those of one
-    evaluation."""
+                  input_range: Tuple[float, float] = (-1.0, 1.0), *, columns: int):
+    """[constant | the leading ``columns`` columns of the basis A of
+    ``evaluate_bases``] as (first row, block) pairs of ``_PANEL_ROWS`` rows,
+    the last one shorter, each evaluated into the same column-major buffer.
+    A saturated term list, of at least as many terms as rows, is one panel
+    whatever its rows: its QR's triangle is as large as the whole basis, so
+    splitting it would save nothing.  All rows and terms are checked before
+    the first panel, so the errors are those of one evaluation."""
     inputs = np.asarray(inputs, dtype=float)
-    T, width = _n_rows(xhat, start_row, n_rows), int(constant) + columns
+    T, width = _n_rows(xhat, start_row, n_rows), 1 + columns
     _checked_window(terms, inputs, input_offset, xhat, start_row, T, input_range)
     rows = T if len(terms) >= T else _PANEL_ROWS
     buffer = np.empty(min(T, rows) * width)
     for row in range(0, T, rows):
         n = min(rows, T - row)
         block = buffer[:n * width].reshape((n, width), order="F")
-        block[:, :int(constant)] = 1.0 / np.sqrt(T)
+        block[:, 0] = 1.0 / np.sqrt(T)
         evaluate_bases(terms, inputs, input_offset, xhat, start_row + row, n, input_range,
-                       out=block[:, int(constant):])
+                       out=block[:, 1:])
         yield row, block
 
 

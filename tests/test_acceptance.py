@@ -35,13 +35,13 @@ from qnr.noise import (AMPLITUDE_DAMPING, BIT_FLIP, CNOT_BIAS, DEPOLARIZING,
                        ENTANGLER_ONE_HOP, ENTANGLER_TWO_HOP, KRAUS_FACTORIES,
                        OVER_ROTATION_RX, OVER_ROTATION_RZ, PHASE_DAMPING,
                        PHASE_FLIP, NoiseSpec)
-from qnr.qsim import apply_kraus, bloch_vector, density_from_bloch
+from qnr.qsim import apply_kraus
 from qnr.reservoir import (QnrConfig, StateMatrix, esp_probe, fit_readout,
                            narma2, nrmse, run_esn, run_qnr, spatial_multiplex)
 from qnr.rng import stream
 from qnr.tipc import TipcSettings, analyze_states, chi2_threshold, ipc_of_target
 
-from conftest import random_density
+from conftest import bloch_vector, density_from_bloch, random_density
 from test_noise import bloch_map_oracle
 
 MASTER_SEED = 12345

@@ -287,6 +287,48 @@ class TestCsvExchange:
         with pytest.raises(dataio.IngestError, match="states.csv:3"):
             dataio.read_states_csv(path)
 
+    @pytest.mark.parametrize("t,line", [(("0", "0", "5"), 3), (("nan", "0", "2"), 2),
+                                        (("1", "2", "3"), 2), (("0", "1", "inf"), 4)],
+                             ids=["repeated", "nan", "from-one", "inf"])
+    @pytest.mark.parametrize("kind", ["inputs", "states"])
+    def test_t_must_count_rows(self, tmp_path, kind, t, line):
+        # rows out of order or missing would be analysed in file order
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(("t,value\n" if kind == "inputs" else "t,x1\n")
+                        + "".join(f"{s},0.5\n" for s in t))
+        read = dataio.read_inputs_csv if kind == "inputs" else dataio.read_states_csv
+        with pytest.raises(dataio.IngestError,
+                           match=rf"{kind}\.csv:{line}: t must be {line - 2}, got"):
+            read(path)
+
+    @pytest.mark.parametrize("broken", ["input", "target", "ingest"])
+    def test_commands_reject_t_out_of_order(self, tmp_path, rng, broken):
+        # every command that reads a trace CSV: input.kind csv, target.path
+        # and ingest; row 50 of the broken file repeats t = 49
+        u = rng.uniform(0, 1, size=120)
+        paths = {name: tmp_path / f"{name}.csv" for name in ("input", "target", "ingest")}
+        dataio.write_inputs_csv(paths["input"], u)
+        dataio.write_inputs_csv(paths["target"], np.roll(u, 1))
+        dataio.write_states_csv(paths["ingest"], rng.normal(size=(120, 2)))
+        lines = paths[broken].read_text().splitlines()
+        lines[51] = "49," + lines[51].split(",", 1)[1]
+        paths[broken].write_text("\n".join(lines) + "\n")
+        if broken == "ingest":
+            payload = {"ingest": {"inputs": str(paths["input"]),
+                                  "states": [str(paths["ingest"])]}}
+            command = "tipc"
+        else:
+            payload = {"task": "csv_target",
+                       "split": {"washout": 10, "train": 60, "eval": 40},
+                       "input": {"kind": "csv", "path": str(paths["input"])},
+                       "target": {"path": str(paths["target"])},
+                       "reservoir": {"instances": 1, "masks": [1]}}
+            command = "train"
+        cfg = _write_cfg(tmp_path, payload)
+        with pytest.raises(dataio.IngestError,
+                           match=rf"{broken}\.csv:52: t must be 50, got '49'"):
+            main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+
     def test_bundle_length_mismatch(self, tmp_path, rng):
         ip = tmp_path / "inputs.csv"
         sp = tmp_path / "states.csv"

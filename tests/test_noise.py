@@ -14,11 +14,10 @@ from qnr.noise import (AMPLITUDE_DAMPING, BIT_FLIP, CNOT_BIAS, DEPOLARIZING,
                        kraus_depolarizing, kraus_phase_damping, kraus_phase_flip,
                        perturb_cnot_bias, perturb_over_rotation, sample_epsilons,
                        specs_from_mask)
-from qnr.qsim import (GateSpec, apply_kraus, apply_unitary, bloch_vector,
-                      build_input_unitary, compile_unitary, density_from_bloch,
-                      expect_all_z, expect_pauli_z, prepare_plus_state)
+from qnr.qsim import (GateSpec, apply_kraus, apply_unitary, build_input_unitary,
+                      compile_unitary, expect_all_z, expect_pauli_z, prepare_plus_state)
 
-from conftest import random_density, random_pure
+from conftest import bloch_vector, density_from_bloch, random_density, random_pure
 
 
 def bloch_map_oracle(kind: str, rate: float) -> np.ndarray:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from qnr import qsim
 from qnr.qsim import (GateSpec, apply_kraus, apply_unitary, build_input_unitary,
-                      compile_unitary, expect_all_z, expect_pauli_z, partial_trace,
-                      prepare_plus_state, purity, trace_distance)
+                      compile_unitary, expect_all_z, expect_pauli_z, prepare_plus_state,
+                      trace_distance)
 
-from conftest import random_density
+from conftest import (bloch_vector, density_from_bloch, partial_trace, purity,
+                      random_density)
 
 
 class TestPrepareState:
@@ -230,9 +231,9 @@ class TestHelpers:
 
     def test_bloch_roundtrip(self, rng):
         rho = random_density(1, rng)
-        vec = qsim.bloch_vector(rho)
+        vec = bloch_vector(rho)
         assert vec[0] == 1.0
-        assert np.allclose(qsim.density_from_bloch(vec), rho, atol=1e-12)
+        assert np.allclose(density_from_bloch(vec), rho, atol=1e-12)
 
     def test_haar_product_state(self, rng):
         rho = qsim.haar_product_state(3, rng)

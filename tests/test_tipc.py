@@ -475,7 +475,7 @@ def solvers(monkeypatch):
 
         monkeypatch.setattr(tipc, name, spy)
 
-    spy_on("_gram_factor", "cholesky", lambda res: res[0] is not None)
+    spy_on("_gram_factor", "cholesky", lambda res: res is not None)
     spy_on("_householder_panels", "householder", lambda res: res is not None)
     spy_on("_gram_schmidt", "gram_schmidt", lambda res: True)
     return seen
@@ -850,9 +850,12 @@ class TestCholeskySolver:
         b_kept, _, b = tipc._project(P, C)
         assert [s for s, _ in solvers] == ["cholesky", "cholesky"]
         assert len(blocks) == 2
-        assert blocks[0] is B and blocks[1] is C   # the basis, not a copy
+        # one column-major [constant | basis] panel, whatever the basis's order
+        assert all(block.flags.f_contiguous for block in blocks)
+        assert blocks[0].tobytes(order="A") == blocks[1].tobytes(order="A")
         assert a_kept == b_kept
         assert np.abs(a - b).max() <= 1e-12
+        assert a.tobytes() == b.tobytes()
         assert np.abs(a - reference_mgs(B)[0].T @ P).max() <= 1e-12
 
 
@@ -863,9 +866,9 @@ def gate(monkeypatch):
     gram_factor = tipc._gram_factor
 
     def spy(*args, **kwargs):
-        R, FtP = gram_factor(*args, **kwargs)
-        passed.append(R is not None)
-        return R, FtP
+        QtP = gram_factor(*args, **kwargs)
+        passed.append(QtP is not None)
+        return QtP
 
     monkeypatch.setattr(tipc, "_gram_factor", spy)
     return passed
@@ -1210,11 +1213,12 @@ class TestLapackBindings:
         _, V, Tk, _ = lapack.dtpqrt(0, 2, R, panel)
         C, top = np.asfortranarray(rng.normal(size=(8, 2))), np.zeros((3, 2), order="F")
         f32, rows = (lambda x: x.astype(np.float32)), np.ascontiguousarray
-        # dsyrk copies a strided basis, as f2py does, and CBLAS reports no
-        # info; every argument of dpotrf, dtrcon and dtrtrs comes from the
-        # arrays, so their illegal one is forced through the shared call
+        # CBLAS reports no info; every argument of dpotrf, dtrcon and dtrtrs
+        # comes from the arrays, so their illegal one is forced through the
+        # shared call
         cases = {
             "dsyrk": [("float32", lambda: blas.dsyrk(1.0, f32(F))),
+                      ("order", lambda: blas.dsyrk(1.0, rows(F), trans=1)),
                       ("shape", lambda: blas.dsyrk(1.0, F, trans=1, c=np.zeros((8, 8))))],
             "dpotrf": [("float32", lambda: lapack.dpotrf(f32(G))),
                        ("shape", lambda: lapack.dpotrf(F)),
@@ -1252,14 +1256,9 @@ class TestLapackBindings:
         for kind, call in cases[name]:
             with pytest.raises(ValueError, match=messages[kind]):
                 call()
-        # a row-major array the call writes is copied, as scipy's wrappers do,
-        # and so is a strided basis, which the Gram pass reads by dsyrk
-        wide = rows(rng.normal(size=(8, 5)))
-        copies = {"dpotrf": lambda: lapack.dpotrf(rows(G))[0].tobytes()
-                  == lapack.dpotrf(G)[0].tobytes(),
-                  "dsyrk": lambda: blas.dsyrk(1.0, wide[:, :3], trans=1).tobytes()
-                  == blas.dsyrk(1.0, wide[:, :3].copy(order="F"), trans=1).tobytes()}
-        assert copies.get(name, lambda: True)()
+        # a row-major array the call writes is copied, as scipy's wrappers do
+        if name == "dpotrf":
+            assert lapack.dpotrf(rows(G))[0].tobytes() == lapack.dpotrf(G)[0].tobytes()
 
 
 class TestCapacities:
@@ -1629,9 +1628,9 @@ class TestSurrogateMode:
         gram_factor = tipc._gram_factor
 
         def gate(*args, **kwargs):
-            R, FtP = gram_factor(*args, **kwargs)
-            refused.append(R is None)
-            return R, FtP
+            QtP = gram_factor(*args, **kwargs)
+            refused.append(QtP is None)
+            return QtP
 
         monkeypatch.setattr(tipc, "_gram_factor", gate)
         u, x, off = _echo_states(rng, 600)
