@@ -6,7 +6,7 @@ which exports CBLAS and LAPACKE under a ``scipy_`` prefix and a ``64_``
 suffix, with 64-bit integers (ILP64).  ``ctypes.CDLL`` of that extension's
 file returns the handle of the module numpy has already loaded, and a symbol
 lookup on it also searches the libraries it depends on, so no path is
-searched and no second BLAS is loaded.  ``load`` binds the nine functions
+searched and no second BLAS is loaded.  ``load`` binds the six functions
 that the solver calls, which this module then provides with the call
 signatures and results of scipy's f2py wrappers (``scipy.linalg.blas`` and
 ``scipy.linalg.lapack``) as far as the solver uses them; it returns False
@@ -47,10 +47,7 @@ _SIGNATURES = {   # name: (result, arguments)
     "LAPACKE_dtrcon_work": (_I, (_E, _C, _C, _C, _I, _P, _I, _P, _P, _P)),
     "LAPACKE_dtrtrs_work": (_I, (_E, _C, _C, _C, _I, _I, _P, _I, _P, _I)),
     "LAPACKE_dgeqrf_work": (_I, (_E, _I, _I, _P, _I, _P, _P, _I)),
-    "LAPACKE_dormqr_work": (_I, (_E, _C, _C, _I, _I, _I, _P, _I, _P, _P, _I, _P, _I)),
     "LAPACKE_dtpqrt_work": (_I, (_E, _I, _I, _I, _I, _P, _I, _P, _I, _P, _I, _P)),
-    "LAPACKE_dtpmqrt_work": (_I, (_E, _C, _C, _I, _I, _I, _I, _I, _P, _I, _P, _I, _P, _I,
-                                  _P, _I, _P)),
 }
 # the bound symbols, filled by load(): the same ones on every call
 _functions = {}
@@ -71,18 +68,18 @@ def load() -> bool:
     return True
 
 
-def _checked(name: str, x, ndim: int) -> np.ndarray:
+def _checked(name: str, x) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype != np.float64:
         raise ValueError(f"{name} must be float64, not {x.dtype}")
-    if x.ndim != ndim:
-        raise ValueError(f"{name} must have {ndim} dimensions, not shape {x.shape}")
+    if x.ndim != 2:
+        raise ValueError(f"{name} must have 2 dimensions, not shape {x.shape}")
     return x
 
 
-def _read(name: str, x, ndim: int = 2) -> np.ndarray:
+def _read(name: str, x) -> np.ndarray:
     """An array the call only reads: float64 and column-major."""
-    x = _checked(name, x, ndim)
+    x = _checked(name, x)
     if not x.flags.f_contiguous:
         raise ValueError(f"{name} must be column-major (Fortran order)")
     return x
@@ -91,7 +88,7 @@ def _read(name: str, x, ndim: int = 2) -> np.ndarray:
 def _written(name: str, x, overwrite) -> np.ndarray:
     """An array the call writes: itself where ``overwrite`` is set and it is
     column-major and writeable, else a column-major copy, as f2py does."""
-    x = _checked(name, x, 2)
+    x = _checked(name, x)
     if overwrite and x.flags.f_contiguous and x.flags.writeable:
         return x
     return np.array(x, order="F")
@@ -100,11 +97,6 @@ def _written(name: str, x, overwrite) -> np.ndarray:
 def _shape(name: str, x: np.ndarray, shape: tuple):
     if x.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, not {x.shape}")
-
-
-def _left(side: str):
-    if side != "L":
-        raise ValueError(f"only side 'L' is bound, not {side!r}")
 
 
 def _lapack(name: str, *args) -> int:
@@ -179,28 +171,6 @@ def dgeqrf(a, lwork=None, overwrite_a=0):
     return a, tau, work, info
 
 
-def dgeqrf_lwork(m, n):
-    """(work, info): the optimal workspace of ``dgeqrf`` on an m x n array."""
-    work, dummy = np.empty(1), np.empty(1)
-    info = _lapack("dgeqrf", m, n, dummy, max(1, m), dummy, work, -1)
-    return float(work[0]), info
-
-
-def dormqr(side, trans, a, tau, c, lwork, overwrite_c=0):
-    """(cq, work, info): c multiplied from the left by the Q of ``dgeqrf``'s
-    reflectors."""
-    _left(side)
-    a, tau, c = _read("a", a), _read("tau", tau, 1), _written("c", c, overwrite_c)
-    m, n = c.shape
-    k = a.shape[1]
-    _shape("a", a, (m, k))
-    _shape("tau", tau, (k,))
-    work = np.empty(max(lwork, 1))
-    info = _lapack("dormqr", side, trans, m, n, k, a, max(1, m), tau, c, max(1, m), work,
-                   lwork)
-    return c, work, info
-
-
 def dtpqrt(l, nb, a, b, overwrite_a=0, overwrite_b=0):
     """(a, b, t, info): QR of the triangle a stacked on b, in blocks of nb
     reflectors."""
@@ -211,19 +181,3 @@ def dtpqrt(l, nb, a, b, overwrite_a=0, overwrite_b=0):
     info = _lapack("dtpqrt", m, n, l, nb, a, max(1, n), b, max(1, m), t, max(nb, 1),
                    np.empty(max(nb, 1) * n))
     return a, b, t, info
-
-
-def dtpmqrt(l, v, t, a, b, side="L", trans="N", overwrite_a=0, overwrite_b=0):
-    """(a, b, info): [a; b] multiplied from the left by the Q of ``dtpqrt``'s
-    reflectors (v, t)."""
-    _left(side)
-    v, t = _read("v", v), _read("t", t)
-    a, b = _written("a", a, overwrite_a), _written("b", b, overwrite_b)
-    m, n = b.shape
-    k, nb = v.shape[1], t.shape[0]
-    _shape("v", v, (m, k))
-    _shape("t", t, (nb, k))
-    _shape("a", a, (k, n))
-    info = _lapack("dtpmqrt", side, trans, m, n, k, l, nb, v, max(1, m), t, max(1, nb), a,
-                   max(1, k), b, max(1, m), np.empty(max(1, nb * n)))
-    return a, b, info

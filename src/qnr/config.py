@@ -75,6 +75,12 @@ class InputSpec:
         _check_types(self, "input.")
         if self.kind not in ("uniform", "csv"):
             raise ConfigError(f"input.kind must be uniform or csv, got {self.kind!r}")
+        # the range of uniform draws, and the Legendre range of csv inputs
+        for key in ("low", "high"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"input.{key} must be finite, got {getattr(self, key)!r}")
+        if not math.isfinite(self.high - self.low):
+            raise ConfigError("input.high - input.low must be finite")
         if self.kind == "uniform" and not self.low < self.high:
             raise ConfigError("input.low must be below input.high")
         if self.kind == "csv" and not self.path:

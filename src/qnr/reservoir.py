@@ -69,9 +69,12 @@ class EsnConfig:
     def __post_init__(self):
         if not (is_int(self.n_nodes) and self.n_nodes >= 1):
             raise ValueError(f"n_nodes must be an integer >= 1, got {self.n_nodes!r}")
-        if not (is_real(self.spectral_radius) and self.spectral_radius >= 0.0):
-            raise ValueError(f"spectral_radius must be a number >= 0, "
+        if not (is_real(self.spectral_radius) and 0.0 <= self.spectral_radius < math.inf):
+            raise ValueError(f"spectral_radius must be a finite number >= 0, "
                              f"got {self.spectral_radius!r}")
+        if not (is_real(self.input_scaling) and math.isfinite(self.input_scaling)):
+            raise ValueError(f"input_scaling must be a finite number, "
+                             f"got {self.input_scaling!r}")
         for key in ("internal_prob", "input_prob"):
             p = getattr(self, key)
             if not (is_real(p) and 0.0 <= p <= 1.0):

@@ -31,29 +31,29 @@ well-conditioned basis by Cholesky of its Gram matrix; any other basis, or
 one whose Gram factor fails its condition or pivot check, by one LAPACK
 Householder QR of the constant and the leading min(B, T - 1) columns; and
 falls back to modified Gram-Schmidt on the whole basis when a QR pivot lies
-under twice the drop floor, so keep/drop decisions are Gram-Schmidt's.  Q
-is never formed: each solver applies Q^T to the states P.  The Gram pass and
-the QR read the same column-major row panels of [constant | A]: a basis
-matrix is copied after the constant into one panel, and a term list is
-evaluated in panels of ``_PANEL_ROWS`` rows, one panel held at a time.  A
-tall basis is added panel by panel to the Gram matrix of [constant | A] and
-to its product with P, and the QR runs ``dgeqrf`` on the first panel and
-``dtpqrt`` against the running triangle on each later one.  A saturated
-term list, with at least as many terms as rows, is one panel of its leading
-T - 1 columns, since its QR's triangle is as large as the whole basis; only
-Gram-Schmidt evaluates a term list whole.  The solvers call nine compiled
-functions (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``, ``dgeqrf``,
-``dgeqrf_lwork``, ``dormqr``, ``dtpqrt``, ``dtpmqrt``), which
-``_blas_lapack`` binds on first use: every ``qnr`` command imports this
-module, and ``train``, ``esp`` and ``simulate`` never call them.  Where
-numpy's own OpenBLAS exports them, as numpy's wheels do, ``_lapack`` binds
-them through ``ctypes`` in the library numpy has already loaded, so the
-solver shares numpy's thread pool and no second BLAS is mapped; that takes
-2.3-4.0 ms and 0.02 MiB after numpy, nearly all of it importing
-``_lapack``.  Elsewhere (numpy built on MKL, Accelerate or a system BLAS)
-scipy's ``linalg/_fblas`` and ``linalg/_flapack`` extension files are
-loaded without importing the ``scipy`` package, with scipy's own OpenBLAS:
-3.8-4.3 ms and 3.5 MiB per process (2-core Xeon VM, numpy 2.4 with
+under twice the drop floor, so keep/drop decisions are Gram-Schmidt's.  Q is
+never formed.  The Gram pass and the QR read the same column-major row
+panels of [constant | A | P]: a basis matrix is copied after the constant
+and before P into one panel, and a term list is evaluated in panels of
+``_PANEL_ROWS`` rows, one panel held at a time.  A tall basis is added panel
+by panel to the Gram matrix of [constant | A] and to its product with P.
+The QR factors the whole panel, P included, so Q^T P is the triangle's block
+right of the basis columns: ``dgeqrf`` on the first panel and ``dtpqrt``
+against the running (1 + B + r)-square triangle on each later one.  A
+saturated term list, with at least as many terms as rows, is one panel of
+its leading T - 1 columns, since its QR's triangle is as large as the whole
+basis; only Gram-Schmidt evaluates a term list whole.  The solvers call six
+compiled functions (``dsyrk``, ``dpotrf``, ``dtrcon``, ``dtrtrs``,
+``dgeqrf``, ``dtpqrt``), which ``_blas_lapack`` binds on first use: every
+``qnr`` command imports this module, and ``train``, ``esp`` and ``simulate``
+never call them.  Where numpy's own OpenBLAS exports them, as numpy's wheels
+do, ``_lapack`` binds them through ``ctypes`` in the library numpy has
+already loaded, so the solver shares numpy's thread pool and no second BLAS
+is mapped; that takes 2.3-4.0 ms and 0.02 MiB after numpy, nearly all of it
+importing ``_lapack``.  Elsewhere (numpy built on MKL, Accelerate or a
+system BLAS) scipy's ``linalg/_fblas`` and ``linalg/_flapack`` extension
+files are loaded without importing the ``scipy`` package, with scipy's own
+OpenBLAS: 3.8-4.3 ms and 3.5 MiB per process (2-core Xeon VM, numpy 2.4 with
 OpenBLAS 0.3.31, scipy 1.17 with 0.3.30).  The ``scipy.linalg`` package,
 which holds the public wrappers, would cost another 0.18-0.28 s and 22 MiB
 per process, mostly because scipy's array-API shim imports ``numpy.f2py``,
@@ -406,7 +406,7 @@ _TP_BLOCK = 64
 
 @functools.lru_cache(maxsize=None)
 def _blas_lapack():
-    """The solver's compiled BLAS and LAPACK functions, as (blas, lapack).
+    """The solver's six compiled BLAS and LAPACK functions, as (blas, lapack).
 
     Where numpy's own OpenBLAS exports them, as numpy's wheels do, both are
     the module ``_lapack``, whose ``ctypes`` bindings run the solver in
@@ -482,10 +482,10 @@ def _project(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
     coefficients of P's columns on the kept vectors (n_kept x r).
 
     ``basis`` is a basis matrix A, or a term list with the rest of
-    ``evaluate_bases``' arguments.  The first two solvers read [constant | A]
-    in row panels: a matrix's one copy, or the panels of ``_basis_panels``.
-    Three solvers are tried in turn; the first whose gate passes takes the
-    basis:
+    ``evaluate_bases``' arguments.  The first two solvers read
+    [constant | A | P] in row panels: a matrix's one copy, or the panels of
+    ``_basis_panels``.  Three solvers are tried in turn; the first whose gate
+    passes takes the basis:
 
     1. ``_gram_factor``, for a tall basis (at least
        ``_GRAM_MIN_ROWS_PER_COLUMN`` rows per column, so it cannot saturate
@@ -494,10 +494,10 @@ def _project(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
        condition estimate is at most ``_GRAM_MAX_COND`` and every pivot R_jj
        (constant excluded) is at least twice the floor; then every column is
        kept.
-    2. ``_householder_panels``, a Householder QR of the constant and the
-       leading m = min(B, T - 1) columns.  It passes when every |R_jj|
-       (constant excluded) is at least twice the floor; those columns are
-       kept and the rest dropped.
+    2. ``_householder_panels``, a Householder QR of the constant, the
+       leading m = min(B, T - 1) columns and P.  It passes when every |R_jj|
+       of the m columns is at least twice the floor; those columns are kept
+       and the rest dropped.
     3. ``_gram_schmidt`` on the whole basis, which applies the drop rule
        column by column.
 
@@ -515,28 +515,25 @@ def _project(P: np.ndarray, basis, inputs: Optional[np.ndarray] = None,
         raise ValueError(f"basis has no rows (shape {(T, B)})")
     if T != P.shape[0]:
         raise ValueError("basis rows and state rows are misaligned")
-    if P.shape[1] == 0:
-        # dtpmqrt refuses a right-hand side without columns
-        kept, dropped, QtP = _project(np.zeros((T, 1)), basis, inputs, input_offset,
-                                      **evaluation)
-        return kept, dropped, QtP[:, :0]
 
     def panels(columns: int):
         if inputs is not None:
-            return _basis_panels(basis, inputs, input_offset, **evaluation, columns=columns)
-        F = np.empty((T, 1 + columns), order="F")
+            return _basis_panels(basis, inputs, input_offset, **evaluation, columns=columns,
+                                 P=P)
+        F = np.empty((T, 1 + columns + P.shape[1]), order="F")
         F[:, 0] = 1.0 / np.sqrt(T)
-        F[:, 1:] = A[:, :columns]
-        return [(0, F)]
+        F[:, 1:1 + columns] = A[:, :columns]
+        F[:, 1 + columns:] = P
+        return [F]
 
     floor = _DROP_TOL * np.sqrt(T)
     if _is_tall(T, B):
-        QtP = _gram_factor(panels(B), T, B, floor, P)
+        QtP = _gram_factor(panels(B), T, B, floor)
         if QtP is not None:
             return list(range(B)), [], QtP
     m = min(B, T - 1)
     if m > 0:
-        QtP = _householder_panels(panels(m), T, m, floor, P)
+        QtP = _householder_panels(panels(m), T, m, floor)
         if QtP is not None:
             return list(range(m)), list(range(m, B)), QtP
     if inputs is not None:
@@ -550,11 +547,10 @@ def _is_tall(T: int, B: int) -> bool:
     return 0 < B and _GRAM_MIN_ROWS_PER_COLUMN * B <= T
 
 
-def _gram_factor(panels, T: int, B: int, floor: float,
-                 P: np.ndarray) -> Optional[np.ndarray]:
+def _gram_factor(panels, T: int, B: int, floor: float) -> Optional[np.ndarray]:
     """Solver 1 of ``_project`` on a T x B basis A given as row panels of
-    [constant | A] = F: Q^T P on the B basis columns, or None where the gate
-    fails.
+    [constant | A | P], F = [constant | A]: Q^T P on the B basis columns, or
+    None where the gate fails.
 
     Each panel adds its F^T F by dsyrk and its F^T P by a matrix product.
     The Gram's columns are scaled to unit norm before the factorization, so
@@ -564,10 +560,11 @@ def _gram_factor(panels, T: int, B: int, floor: float,
     """
     blas, lapack = _blas_lapack()
     G = np.zeros((1 + B, 1 + B), order="F")
-    FtP = np.zeros((1 + B, P.shape[1]), order="F")
-    for row, F in panels:
+    FtP = 0.0   # becomes the first panel's F^T P, then accumulates in place
+    for panel in panels:
+        F = panel[:, :1 + B]
         G = blas.dsyrk(1.0, F, trans=1, beta=1.0, c=G, overwrite_c=1)
-        FtP += F.T @ P[row:row + len(F)]
+        FtP += F.T @ panel[:, 1 + B:]
     norms = np.sqrt(np.diagonal(G))
     # a pivot never exceeds its column's norm
     if not norms[1:].min() >= 2.0 * floor:
@@ -586,67 +583,59 @@ def _gram_factor(panels, T: int, B: int, floor: float,
 def _basis_panels(terms: Sequence[BasisTerm], inputs: np.ndarray, input_offset: int,
                   xhat: Optional[np.ndarray] = None, start_row: int = 0,
                   n_rows: Optional[int] = None,
-                  input_range: Tuple[float, float] = (-1.0, 1.0), *, columns: int):
+                  input_range: Tuple[float, float] = (-1.0, 1.0), *, columns: int,
+                  P: np.ndarray):
     """[constant | the leading ``columns`` columns of the basis A of
-    ``evaluate_bases``] as (first row, block) pairs of ``_PANEL_ROWS`` rows,
-    the last one shorter, each evaluated into the same column-major buffer.
-    A saturated term list, of at least as many terms as rows, is one panel
-    whatever its rows: its QR's triangle is as large as the whole basis, so
-    splitting it would save nothing.  All rows and terms are checked before
-    the first panel, so the errors are those of one evaluation."""
+    ``evaluate_bases`` | P] in column-major panels of ``_PANEL_ROWS`` rows,
+    the last one shorter, each written into the same buffer.  A saturated
+    term list, of at least as many terms as rows, is one panel whatever its
+    rows: its QR's triangle is as large as the whole basis, so splitting it
+    would save nothing.  All rows and terms are checked before the first
+    panel, so the errors are those of one evaluation."""
     inputs = np.asarray(inputs, dtype=float)
-    T, width = _n_rows(xhat, start_row, n_rows), 1 + columns
+    T, width = _n_rows(xhat, start_row, n_rows), 1 + columns + P.shape[1]
     _checked_window(terms, inputs, input_offset, xhat, start_row, T, input_range)
     rows = T if len(terms) >= T else _PANEL_ROWS
     buffer = np.empty(min(T, rows) * width)
     for row in range(0, T, rows):
         n = min(rows, T - row)
-        block = buffer[:n * width].reshape((n, width), order="F")
-        block[:, 0] = 1.0 / np.sqrt(T)
+        panel = buffer[:n * width].reshape((n, width), order="F")
+        panel[:, 0] = 1.0 / np.sqrt(T)
         evaluate_bases(terms, inputs, input_offset, xhat, start_row + row, n, input_range,
-                       out=block[:, 1:])
-        yield row, block
+                       out=panel[:, 1:1 + columns])
+        panel[:, 1 + columns:] = P[row:row + n]
+        yield panel
 
 
-def _householder_panels(panels, T: int, B: int, floor: float,
-                        P: np.ndarray) -> Optional[np.ndarray]:
+def _householder_panels(panels, T: int, B: int, floor: float) -> Optional[np.ndarray]:
     """Solver 2 of ``_project`` on a T x B basis A, B < T, given as row
-    panels of [constant | A]: Q^T P on the B basis columns, or None where a
-    pivot (constant excluded) lies under twice the floor.  The comparison is
-    written so that NaN fails it.
+    panels of [constant | A | P]: Q^T P on the B basis columns, or None
+    where a pivot (constant excluded) lies under twice the floor.  The
+    comparison is written so that NaN fails it.
 
-    The first panel is factored by dgeqrf and its rows of P are rotated by
-    dormqr, so a basis of one panel is solved as the whole matrix is.  Each
-    later panel is folded into the running (1 + B)-square triangle by
-    dtpqrt, and a copy of its rows of P into the top 1 + B rows of Q^T P by
-    dtpmqrt; the copy keeps dtpmqrt from overwriting P itself.  A first
-    panel with fewer rows than columns leaves the triangle's lower rows
-    zero.  The pivots are read once every row has been folded in.
+    One Householder QR factors the whole augmented matrix, so its triangle
+    holds Q^T P in the rows of the basis columns and the columns of P.  The
+    first panel is factored by dgeqrf, so a basis of one panel is solved as
+    the whole matrix is.  Each later panel is folded into the running
+    (1 + B + r)-square triangle by dtpqrt.  A first panel with fewer rows
+    than columns leaves the triangle's lower rows zero.  The pivots are read
+    once every row has been folded in.
     """
     _, lapack = _blas_lapack()
-    for row, F in panels:
-        n = len(F)
-        if row == 0:
-            # the lwork=-1 query of dgeqrf would copy the whole panel
-            F, tau, _, _ = lapack.dgeqrf(F, lwork=int(lapack.dgeqrf_lwork(*F.shape)[0]),
-                                         overwrite_a=1)
-            k = len(tau)
-            lwork = int(lapack.dormqr("L", "T", F[:, :k], tau, P[:n], -1)[1][0])
-            R, QtP = F, lapack.dormqr("L", "T", F[:, :k], tau, P[:n], lwork)[0]
-            if n < T:
-                R = np.zeros((1 + B, 1 + B), order="F")
-                R[:k] = F[:k]   # dtpqrt reads only its upper triangle
-                top = np.zeros((1 + B, P.shape[1]), order="F")
-                top[:k] = QtP[:k]
-                QtP = top
-        else:
-            R, V, Tk, _ = lapack.dtpqrt(0, min(_TP_BLOCK, 1 + B), R, F,
-                                        overwrite_a=1, overwrite_b=1)
-            QtP, _, _ = lapack.dtpmqrt(0, V, Tk, QtP, np.array(P[row:row + n], order="F"),
-                                       trans="T", overwrite_a=1, overwrite_b=1)
-    if not np.abs(np.diagonal(R)[1:]).min() >= 2.0 * floor:
+    panels = iter(panels)
+    F = next(panels)
+    # with overwrite_a, the lwork=-1 query reads F's shape without copying it
+    lwork = int(lapack.dgeqrf(F, lwork=-1, overwrite_a=1)[2][0])
+    R = F = lapack.dgeqrf(F, lwork=lwork, overwrite_a=1)[0]
+    width = F.shape[1]
+    if len(F) < T:
+        R = np.zeros((width, width), order="F")
+        R[:len(F)] = F[:width]   # dtpqrt reads only its upper triangle
+    for F in panels:
+        R = lapack.dtpqrt(0, min(_TP_BLOCK, width), R, F, overwrite_a=1, overwrite_b=1)[0]
+    if not np.abs(np.diagonal(R)[1:1 + B]).min() >= 2.0 * floor:
         return None
-    return QtP[1:1 + B]
+    return R[1:1 + B, 1 + B:]
 
 
 def _gram_schmidt(A: np.ndarray, floor: float) -> Tuple[List[int], List[int], np.ndarray]:

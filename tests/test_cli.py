@@ -1,5 +1,6 @@
 """Config schema, CSV exchange, and CLI subcommand tests."""
 
+import csv
 import json
 import os
 import subprocess
@@ -102,6 +103,22 @@ class TestConfig:
             main(["esp", "--config", _write_cfg(tmp_path, {"esp": {"steps": steps}}),
                   "--out", str(tmp_path / "out")])
 
+    @pytest.mark.parametrize("kind", ["uniform", "csv"])
+    @pytest.mark.parametrize("span,message", [
+        ({"high": float("inf")}, r"^input\.high must be finite, got inf"),
+        ({"low": -float("inf")}, r"^input\.low must be finite, got -inf"),
+        ({"low": float("nan")}, r"^input\.low must be finite, got nan"),
+        ({"low": -1e308, "high": 1e308}, r"^input\.high - input\.low must be finite"),
+    ], ids=["inf", "-inf", "nan", "overflow"])
+    def test_non_finite_input_range_names_its_key(self, tmp_path, kind, span, message):
+        # each used to pass validation, and `qnr train` then died in numpy with
+        # "OverflowError: high - low range exceeds valid bounds"; the two keys
+        # are the Legendre range of csv inputs too
+        extra = {"path": str(tmp_path / "u.csv")} if kind == "csv" else {}
+        cfg = _write_cfg(tmp_path, {"input": {"kind": kind, **span, **extra}})
+        with pytest.raises(cfgmod.ConfigError, match=message):
+            main(["train", "--config", cfg, "--out", str(tmp_path / "out")])
+
     def test_empty_split_rejected(self):
         # an all-zero split used to pass validation and crash in run_qnr
         with pytest.raises(cfgmod.ConfigError, match=r"split\.washout \+ split\.train"):
@@ -129,9 +146,14 @@ class TestConfig:
             build()
 
     @pytest.mark.parametrize("key,value", [("n_nodes", 2.5), ("spectral_radius", -1),
-                                           ("internal_prob", 2), ("input_prob", -1)])
+                                           ("internal_prob", 2), ("input_prob", -1),
+                                           ("spectral_radius", float("inf")),
+                                           ("input_scaling", float("nan")),
+                                           ("input_scaling", "x")])
     def test_bad_esn_values_name_their_key(self, key, value):
-        # each used to run: probabilities 2 and -1 wrote an eval NRMSE of 1.0038
+        # each used to run: probabilities 2 and -1 wrote an eval NRMSE of
+        # 1.0038, and a non-finite scale died in the analysis with "state
+        # matrix contains NaN or Inf", naming no key
         with pytest.raises(ValueError, match=rf"^{key} must be"):
             EsnConfig(**{key: value})
         with pytest.raises(cfgmod.ConfigError, match=rf"^esn\.{key} must be"):
@@ -541,20 +563,25 @@ class TestCommands:
             check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_tipc_on_ingested_trace_with_metadata(self, tmp_path, rng):
+    @staticmethod
+    def _tipc_on_ingested_trace(tmp_path, rng, metadata):
         u = rng.uniform(0, 1, size=260)
         x = np.column_stack([0.3 * np.roll(u, 1) + 0.1, 0.2 * np.roll(u, 2)])
         ipath, spath = tmp_path / "u.csv", tmp_path / "x.csv"
         dataio.write_inputs_csv(ipath, u)
         dataio.write_states_csv(spath, x)
         cfg = _write_cfg(tmp_path, {
-            "ingest": {"inputs": str(ipath), "states": [str(spath)],
-                       "metadata": {"device": "loopback", "cnot_error": 0.02}},
+            "ingest": {"inputs": str(ipath), "states": [str(spath)], "metadata": metadata},
             "tipc": {"max_degree": 1, "max_input_delay": 4, "max_state_delay": 0,
                      "washout": 30},
         })
         out = tmp_path / "out"
         assert main(["tipc", "--config", cfg, "--out", str(out)]) == 0
+        return out
+
+    def test_tipc_on_ingested_trace_with_metadata(self, tmp_path, rng):
+        out = self._tipc_on_ingested_trace(tmp_path, rng,
+                                           {"device": "loopback", "cnot_error": 0.02})
         prof = json.loads((out / "profile_trace0.json").read_text())
         assert prof["rank"] == 2
         hw = (out / "hardware_capacity.csv").read_text().splitlines()
@@ -563,6 +590,22 @@ class TestCommands:
         tiv, tv, rank = hw[1].split(",")[3:]
         assert (float(tiv), float(tv), int(rank)) == (
             prof["c_tiv_tot"], prof["c_tv_tot"], prof["rank"])
+
+    def test_hardware_capacity_quotes_its_cells(self, tmp_path, rng):
+        # a comma in a metadata value used to make a 7-field row under a
+        # 6-field header; a comma or a line break in a key broke it the same way
+        metadata = {"device": "ibm_lagos, rev 2", "cnot, error\nmean": 0.02,
+                    'say "hi"': "a\nb"}
+        out = self._tipc_on_ingested_trace(tmp_path, rng, metadata)
+        with open(out / "hardware_capacity.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        keys = sorted(metadata)
+        assert rows[0] == ["name", *keys, "c_tiv_tot", "c_tv_tot", "rank"]
+        assert len(rows) == 2 and len(rows[1]) == len(rows[0])
+        assert rows[1][:4] == ["trace0", *(str(metadata[k]) for k in keys)]
+        prof = json.loads((out / "profile_trace0.json").read_text())
+        assert rows[1][4:] == [str(prof["c_tiv_tot"]), str(prof["c_tv_tot"]),
+                               str(prof["rank"])]
 
     @pytest.mark.parametrize("rows", [15, 22])
     def test_tipc_rejects_trace_shorter_than_delay_window(self, tmp_path, rng, rows):

@@ -550,9 +550,10 @@ class TestHouseholderSolver:
     def test_nan_pivot_fails_the_gate(self, rng):
         A = rng.normal(size=(50, 3))
         A[7, 1] = np.nan
-        F = np.asfortranarray(np.column_stack([np.full(50, 1.0 / np.sqrt(50)), A]))
-        assert tipc._householder_panels([(0, F)], 50, 3, tipc._DROP_TOL * np.sqrt(50),
-                                        np.zeros((50, 1))) is None
+        # [constant | A | P], with P one column of zeros
+        F = np.asfortranarray(np.column_stack([np.full(50, 1.0 / np.sqrt(50)), A,
+                                               np.zeros(50)]))
+        assert tipc._householder_panels([F], 50, 3, tipc._DROP_TOL * np.sqrt(50)) is None
 
     def test_import_leaves_scipy_linalg_out(self):
         # scipy is imported where it is used; every qnr command imports
@@ -613,7 +614,7 @@ class TestHouseholderSolver:
             "                       for a, b in zip(loaded, reference)))\n")
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "13 True"
+        assert out.stdout.strip() == "10 True"
 
     def test_loaded_wrappers_match_scipy_linalg_loaded_before(self):
         import scipy.linalg
@@ -621,7 +622,7 @@ class TestHouseholderSolver:
         assert tipc._blas_lapack() == (_lapack, _lapack)
         loaded = _solver_calls(_lapack, _lapack)
         reference = _solver_calls(scipy.linalg.blas, scipy.linalg.lapack)
-        assert len(loaded) == 13
+        assert len(loaded) == 10
         assert all(a.tobytes() == b.tobytes() for a, b in zip(loaded, reference))
 
     def test_missing_wrapper_file_names_directory_and_version(self, monkeypatch):
@@ -745,23 +746,19 @@ class TestSaturatedBasis:
 
 
 def _solver_calls(blas, lapack):
-    """Outputs of the solver's nine compiled functions on one random input: a
+    """Outputs of the solver's six compiled functions on one random input: a
     Gram factor, and a Householder QR of two row panels, the second folded
     into the first one's triangle as ``_householder_panels`` does."""
     rng = np.random.default_rng(11)
     A = np.asfortranarray(rng.normal(size=(40, 6)))
     G = blas.dsyrk(1.0, A, trans=1)
     R, _ = lapack.dpotrf(G + np.triu(G, 1).T)   # the lower triangle is cleared
-    lwork = lapack.dgeqrf_lwork(40, 6)[0]
+    lwork = lapack.dgeqrf(A, lwork=-1)[2][0]
     F, tau, _, _ = lapack.dgeqrf(A, lwork=int(lwork))
-    lwork = int(lapack.dormqr("L", "T", F, tau, A, -1)[1][0])
-    QtA = lapack.dormqr("L", "T", F, tau, A, lwork)[0]
     panel = np.asfortranarray(rng.normal(size=(30, 6)))
     R2, V, Tk, _ = lapack.dtpqrt(0, 4, np.triu(F[:6]), panel)
-    top, bottom, _ = lapack.dtpmqrt(0, V, Tk, np.asfortranarray(QtA[:6, :2]),
-                                    np.asfortranarray(rng.normal(size=(30, 2))), trans="T")
-    outs = [G, R, lapack.dtrcon(R)[0], lapack.dtrtrs(R, A.T[:, :3], trans=1)[0],
-            lapack.dgeqrf_lwork(40, 6)[0], F, tau, QtA, R2, V, Tk, top, bottom]
+    outs = [G, R, lapack.dtrcon(R)[0], lapack.dtrtrs(R, A.T[:, :3], trans=1)[0], lwork,
+            F, tau, R2, V, Tk]
     return [np.asarray(x) for x in outs]
 
 
@@ -842,7 +839,7 @@ class TestCholeskySolver:
 
         def spy(panels, *args):
             panels = list(panels)
-            blocks.extend(block for _, block in panels)
+            blocks.extend(panels)
             return gram_factor(panels, *args)
 
         monkeypatch.setattr(tipc, "_gram_factor", spy)
@@ -850,7 +847,7 @@ class TestCholeskySolver:
         b_kept, _, b = tipc._project(P, C)
         assert [s for s, _ in solvers] == ["cholesky", "cholesky"]
         assert len(blocks) == 2
-        # one column-major [constant | basis] panel, whatever the basis's order
+        # one column-major [constant | basis | P] panel, whatever the basis's order
         assert all(block.flags.f_contiguous for block in blocks)
         assert blocks[0].tobytes(order="A") == blocks[1].tobytes(order="A")
         assert a_kept == b_kept
@@ -1008,7 +1005,7 @@ class TestStreamedHouseholder:
             assert 1 + B > panel   # the first panel has fewer rows than columns
         before = P.copy()
         caps = capacities(P, terms, u, off, **kw)
-        assert P.tobytes() == before.tobytes()   # dtpmqrt rotated copies of P
+        assert P.tobytes() == before.tobytes()   # the panels hold copies of P
         assert gate == ([False] if kind == "gram-refused" else [])
         assert solvers == [("householder", (T, B))]
         assert all(rows <= panel for rows, _ in cells)
@@ -1059,7 +1056,7 @@ class TestStreamedHouseholder:
     @pytest.mark.parametrize("T", [300, 100], ids=["gram-refused", "not-tall"])
     def test_evaluation_states_of_rank_zero(self, rng, monkeypatch, gate, T):
         # states that vary only in their history rows leave the evaluation P
-        # without columns, which dtpmqrt refuses as a right-hand side
+        # without columns: the panels are [constant | A] alone
         X = np.zeros((T + 2, 2))
         X[0, 0], X[1, 1] = 1.0, 0.5
         u = rng.uniform(-1, 1, size=T + 12)
@@ -1157,18 +1154,22 @@ class TestLapackBindings:
     """The solver's functions bound to numpy's own OpenBLAS (``qnr._lapack``),
     and scipy's wrappers where numpy's library lacks them."""
 
-    @pytest.mark.parametrize("basis", ["gram", "streamed-qr", "saturated", "gram-schmidt"])
+    @pytest.mark.parametrize("basis", ["gram", "streamed-qr", "streamed-qr-rank-0",
+                                       "saturated", "gram-schmidt"])
     def test_scipy_fallback_gives_the_same_capacities(self, rng, monkeypatch, solvers,
                                                       tmp_path, basis):
         # the fallback of a numpy whose library lacks the bound symbols
         panel = tipc._PANEL_ROWS
         if basis == "gram":
             terms, u, off, kw, P, _ = TestCapacityLedger()._case(rng, 400, False)
-        elif basis == "streamed-qr":
-            # a tall basis that the Gram gate refuses, over two panels
+        elif basis.startswith("streamed-qr"):
+            # a tall basis that the Gram gate refuses, over two panels; at
+            # rank 0 the panels are [constant | A] alone
             panel = 160
             terms, u, off, kw, P = TestStreamedHouseholder()._basis(rng, "gram-refused",
                                                                     319)
+            if basis == "streamed-qr-rank-0":
+                P = P[:, :0]
         else:
             terms, u, off, kw = TestSaturatedBasis()._wide(rng)
             if basis == "gram-schmidt":
@@ -1197,8 +1198,38 @@ class TestLapackBindings:
                              env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["scipy.linalg._flapack", "True"]
 
+    def test_solver_paths_call_exactly_the_bound_functions(self, rng, monkeypatch,
+                                                           solvers):
+        # the Gram, streamed QR, saturated QR and Gram-Schmidt paths together
+        # call every function that _lapack binds, and no other
+        blas, lapack = tipc._blas_lapack()
+        called = set()
+
+        class Spy:
+            def __init__(self, module):
+                self._module = module
+
+            def __getattr__(self, name):
+                called.add(name)
+                return getattr(self._module, name)
+
+        monkeypatch.setattr(tipc, "_blas_lapack", lambda: (Spy(blas), Spy(lapack)))
+        terms, u, off, kw, P, _ = TestCapacityLedger()._case(rng, 400, False)
+        capacities(P, terms, u, off, **kw)
+        monkeypatch.setattr(tipc, "_PANEL_ROWS", 160)
+        terms, u, off, kw, P = TestStreamedHouseholder()._basis(rng, "gram-refused", 319)
+        capacities(P, terms, u, off, **kw)
+        terms, u, off, kw = TestSaturatedBasis()._wide(rng)
+        P = normalize_states(kw["xhat"][2:], abs_floor=1e-12).P
+        capacities(P, terms, u, off, **kw)
+        terms.insert(5, terms[2])   # a duplicated early column
+        capacities(P, terms, u, off, **kw)
+        assert [s for s, _ in solvers] == ["cholesky", "householder", "householder",
+                                           "gram_schmidt"]
+        assert called == {name.split("_")[1] for name in _lapack._SIGNATURES}
+
     @pytest.mark.parametrize("name", ["dsyrk", "dpotrf", "dtrcon", "dtrtrs", "dgeqrf",
-                                      "dgeqrf_lwork", "dormqr", "dtpqrt", "dtpmqrt"])
+                                      "dtpqrt"])
     def test_bad_arrays_and_illegal_arguments_raise(self, rng, name):
         # float32, a row-major factor where the call reads one, a mismatched
         # shape, and an argument that LAPACK refuses (info < 0): each raises
@@ -1208,10 +1239,9 @@ class TestLapackBindings:
         F = np.asfortranarray(rng.normal(size=(8, 3)))
         G = blas.dsyrk(1.0, F, trans=1) + 8.0 * np.eye(3, order="F")
         R, _ = lapack.dpotrf(G)
-        qr, tau, _, _ = lapack.dgeqrf(F)
+        tau = lapack.dgeqrf(F)[1]
         panel = np.asfortranarray(rng.normal(size=(5, 3)))
-        _, V, Tk, _ = lapack.dtpqrt(0, 2, R, panel)
-        C, top = np.asfortranarray(rng.normal(size=(8, 2))), np.zeros((3, 2), order="F")
+        C = np.asfortranarray(rng.normal(size=(8, 2)))
         f32, rows = (lambda x: x.astype(np.float32)), np.ascontiguousarray
         # CBLAS reports no info; every argument of dpotrf, dtrcon and dtrtrs
         # comes from the arrays, so their illegal one is forced through the
@@ -1237,19 +1267,9 @@ class TestLapackBindings:
             "dgeqrf": [("float32", lambda: lapack.dgeqrf(f32(F))),
                        ("shape", lambda: lapack.dgeqrf(tau)),
                        ("illegal", lambda: lapack.dgeqrf(F, lwork=0))],
-            "dgeqrf_lwork": [("illegal", lambda: lapack.dgeqrf_lwork(-1, 3))],
-            "dormqr": [("float32", lambda: lapack.dormqr("L", "T", qr, f32(tau), C, 8)),
-                       ("order", lambda: lapack.dormqr("L", "T", rows(qr), tau, C, 8)),
-                       ("shape", lambda: lapack.dormqr("L", "T", qr, tau, C[:5], 8)),
-                       ("illegal", lambda: lapack.dormqr("L", "T", qr, tau, C, 1))],
             "dtpqrt": [("float32", lambda: lapack.dtpqrt(0, 2, f32(R), panel)),
                        ("shape", lambda: lapack.dtpqrt(0, 2, R, F.T)),
                        ("illegal", lambda: lapack.dtpqrt(0, 0, R, panel))],
-            "dtpmqrt": [("float32", lambda: lapack.dtpmqrt(0, V, f32(Tk), top, C[:5])),
-                        ("order", lambda: lapack.dtpmqrt(0, rows(V), Tk, top, C[:5])),
-                        ("shape", lambda: lapack.dtpmqrt(0, V, Tk, top, C)),
-                        ("illegal", lambda: lapack.dtpmqrt(0, V, Tk, top, C[:5],
-                                                           trans="X"))],
         }
         messages = {"float32": "must be float64", "order": "column-major",
                     "shape": "must have", "illegal": "illegal value"}
