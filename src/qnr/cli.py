@@ -1,9 +1,10 @@
 """Command-line front end: simulate | train | tipc | ipc | esp | ingest.
 
 Every command takes --config/--preset/--seed/--out/--threads, assembles a
-validated configuration, runs deterministically from the master seed, and
-writes its artifacts plus a manifest naming the config hash into the
-output directory.
+validated configuration and runs deterministically from the master seed.
+``main`` makes the output directory, runs the command, which writes its
+artifacts there and returns their paths, and writes ``manifest.json`` last:
+the config hash and the artifacts.  A command that fails writes no manifest.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ def _unit_interval(cfg, inputs: np.ndarray) -> np.ndarray:
         lo, hi = float(inputs.min()), float(inputs.max())
         if lo == hi:
             raise ValueError("constant input sequence")
-    if (lo, hi) == (0.0, 1.0):
-        return inputs
     return (inputs - lo) / (hi - lo)
 
 
@@ -65,23 +64,19 @@ def _pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _run_instances(cfg, instances, inputs: np.ndarray):
-    """Run every instance, optionally on a process pool; order-stable."""
+def _run_instances(cfg, inputs: np.ndarray):
+    """The config's reservoir instances and their state matrices over the
+    inputs, run optionally on a process pool; order-stable."""
+    instances = cfg.qnr_instances()
     configs = [qc for _, _, qc in instances]
     if cfg.threads > 1:
         with _pool(cfg.threads) as pool:
-            return list(pool.map(run_qnr, configs, [inputs] * len(configs)))
-    return [run_qnr(qc, inputs) for qc in configs]
+            return instances, list(pool.map(run_qnr, configs, [inputs] * len(configs)))
+    return instances, [run_qnr(qc, inputs) for qc in configs]
 
 
-def _outdir(cfg) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _manifest(cfg, command: str, artifacts, extra=None) -> dict:
-    payload = {
+def _manifest(cfg, command: str, artifacts, extra: dict) -> dict:
+    return {
         "command": command,
         "config_hash": cfgmod.config_hash(cfg),
         "config": cfgmod.to_dict(cfg),
@@ -91,25 +86,20 @@ def _manifest(cfg, command: str, artifacts, extra=None) -> dict:
             "python": sys.version.split()[0],
         },
         "artifacts": [str(a) for a in artifacts],
+        **extra,
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the config and the output directory, writes its
+# artifacts, and returns their paths and the manifest's extra keys
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg) -> int:
-    out = _outdir(cfg)
+def cmd_simulate(cfg, out: Path):
     inputs = _draw_inputs(cfg, cfg.split.total)
-    instances = cfg.qnr_instances()
-    states = _run_instances(cfg, instances, inputs)
-    artifacts = []
-    inputs_path = out / "inputs.csv"
-    dataio.write_inputs_csv(inputs_path, inputs)
-    artifacts.append(inputs_path)
+    instances, states = _run_instances(cfg, inputs)
+    artifacts = [out / "inputs.csv"]
+    dataio.write_inputs_csv(artifacts[0], inputs)
     inst_meta = []
     for (i, mask, qc), sm in zip(instances, states):
         name = f"states_{i:04d}.csv" if mask is None else f"states_m{mask:04d}.csv"
@@ -117,21 +107,17 @@ def cmd_simulate(cfg) -> int:
         dataio.write_states_csv(path, sm)
         artifacts.append(path)
         inst_meta.append({"index": i, "mask": mask, "seed": qc.seed, "file": name})
-    dataio.write_json(out / "manifest.json",
-                      _manifest(cfg, "simulate", artifacts, {"instances": inst_meta}))
     print(f"simulate: wrote {len(states)} state files to {out}")
-    return 0
+    return artifacts, {"instances": inst_meta}
 
 
-def cmd_train(cfg) -> int:
-    out = _outdir(cfg)
+def cmd_train(cfg, out: Path):
     inputs = _draw_inputs(cfg, cfg.split.total)
     y = _target_sequence(cfg, inputs)
     tr, ev = cfg.split.train_range, cfg.split.eval_range
     metrics = {"task": cfg.task, "split": cfgmod.to_dict(cfg)["split"]}
     if cfg.reservoir.kind == "qnr":
-        instances = cfg.qnr_instances()
-        states = _run_instances(cfg, instances, inputs)
+        instances, states = _run_instances(cfg, inputs)
         X = spatial_multiplex(states)
         readout = fit_readout(X.data, y, tr)
         yhat = readout.predict(X.data)
@@ -168,10 +154,9 @@ def cmd_train(cfg) -> int:
         })
     path = out / "metrics.json"
     dataio.write_json(path, metrics)
-    dataio.write_json(out / "manifest.json", _manifest(cfg, "train", [path]))
     print(f"train: eval NRMSE = {metrics['nrmse_eval']:.4f} ({metrics['reservoir']}, "
           f"task {cfg.task})")
-    return 0
+    return [path], {}
 
 
 def _profiles(cfg, sm: StateMatrix, inputs, input_offset):
@@ -185,9 +170,7 @@ def _profiles(cfg, sm: StateMatrix, inputs, input_offset):
     return whole, [(q, p.rank, p.c_tiv_tot, p.c_tv_tot, p.c_tot) for q, p in enumerate(profs)]
 
 
-def cmd_tipc(cfg) -> int:
-    out = _outdir(cfg)
-    artifacts = []
+def cmd_tipc(cfg, out: Path):
     if cfg.ingest.states:
         inputs, states = dataio.read_trace(cfg.ingest.inputs, cfg.ingest.states)
         # recorded traces carry no washout rows; delays eat into the window
@@ -203,15 +186,14 @@ def cmd_tipc(cfg) -> int:
     else:
         w, span = cfg.tipc.washout, cfg.tipc.analysis_len
         inputs = _draw_inputs(cfg, w + span)
-        instances = cfg.qnr_instances()
         runs = [(f"inst{i:04d}" if mask is None else f"m{mask:04d}", mask,
                  StateMatrix(sm.data[w:]), inputs, w)
-                for (i, mask, _), sm in zip(instances, _run_instances(cfg, instances, inputs))]
+                for (i, mask, _), sm in zip(*_run_instances(cfg, inputs))]
     # analyse every run before writing: a run that fails (a window too short
     # for its rank's chi2 threshold) leaves no partial output
     analysed = [(name, mask, *_profiles(cfg, sm, inputs_used, offset))
                 for name, mask, sm, inputs_used, offset in runs]
-    summary = []
+    artifacts, summary = [], []
     for name, mask, prof, per_qubit in analysed:
         pj = out / f"profile_{name}.json"
         pc = out / f"profile_{name}_degrees.csv"
@@ -238,12 +220,10 @@ def cmd_tipc(cfg) -> int:
                          ((name, *meta, tiv, tv, rank)
                           for name, _, rank, tiv, tv, _ in summary))
         artifacts.append(hpath)
-    dataio.write_json(out / "manifest.json", _manifest(cfg, "tipc", artifacts))
-    return 0
+    return artifacts, {}
 
 
-def cmd_ipc(cfg) -> int:
-    out = _outdir(cfg)
+def cmd_ipc(cfg, out: Path):
     w, span = cfg.tipc.washout, cfg.tipc.analysis_len
     inputs = _draw_inputs(cfg, w + span)
     y = _target_sequence(cfg, inputs)[w:]
@@ -253,17 +233,15 @@ def cmd_ipc(cfg) -> int:
     pj, pc = out / "ipc_profile.json", out / "ipc_profile_degrees.csv"
     dataio.write_profile_json(pj, prof)
     dataio.write_profile_degrees_csv(pc, prof)
-    dataio.write_json(out / "manifest.json", _manifest(cfg, "ipc", [pj, pc]))
     caps = prof.capacity.tolist()
     lead = sorted((caps[j], prof.terms[j].label())
                   for j in np.flatnonzero(~prof.truncated).tolist())
     for cap, label in lead[::-1][:3]:
         print(f"ipc: {label} = {cap:.4f}")
-    return 0
+    return [pj, pc], {}
 
 
-def cmd_esp(cfg) -> int:
-    out = _outdir(cfg)
+def cmd_esp(cfg, out: Path):
     qnr_cfg = QnrConfig(
         n_qubits=cfg.reservoir.n_qubits,
         input_scaling=cfg.reservoir.input_scaling,
@@ -284,21 +262,17 @@ def cmd_esp(cfg) -> int:
     }
     jpath = out / "esp_rate.json"
     dataio.write_json(jpath, payload)
-    dataio.write_json(out / "manifest.json", _manifest(cfg, "esp", [csv_path, jpath]))
     print(f"esp: gamma={cfg.esp.gamma} slope={probe.slope:.5f} "
           f"delta[{cfg.esp.steps}]={probe.deltas[-1]:.3e}")
-    return 0
+    return [csv_path, jpath], {}
 
 
-def cmd_ingest(cfg) -> int:
-    out = _outdir(cfg)
+def cmd_ingest(cfg, out: Path):
     if not cfg.ingest.states:
         raise cfgmod.ConfigError("ingest.states must list at least one CSV")
     inputs, states = dataio.read_trace(cfg.ingest.inputs, cfg.ingest.states)
-    artifacts = []
-    ipath = out / "ingested_inputs.csv"
-    dataio.write_inputs_csv(ipath, inputs)
-    artifacts.append(ipath)
+    artifacts = [out / "ingested_inputs.csv"]
+    dataio.write_inputs_csv(artifacts[0], inputs)
     meta = []
     for i, sm in enumerate(states):
         spath = out / f"ingested_states_{i:04d}.csv"
@@ -306,11 +280,8 @@ def cmd_ingest(cfg) -> int:
         artifacts.append(spath)
         meta.append({"index": i, "steps": sm.n_steps, "features": sm.n_features,
                      "source": str(cfg.ingest.states[i])})
-    dataio.write_json(out / "manifest.json",
-                      _manifest(cfg, "ingest", artifacts,
-                                {"traces": meta, "metadata": cfg.ingest.metadata}))
     print(f"ingest: validated {len(states)} trace(s), T={states[0].n_steps}")
-    return 0
+    return artifacts, {"traces": meta, "metadata": cfg.ingest.metadata}
 
 
 _COMMANDS = {
@@ -345,7 +316,11 @@ def main(argv=None) -> int:
     file_dict = cfgmod.load_file(args.config) if args.config else None
     cfg = cfgmod.assemble(file_dict, preset_name=args.preset, seed=args.seed,
                           out=args.out, threads=args.threads)
-    return _COMMANDS[args.command](cfg)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts, extra = _COMMANDS[args.command](cfg, out)
+    dataio.write_json(out / "manifest.json", _manifest(cfg, args.command, artifacts, extra))
+    return 0
 
 
 if __name__ == "__main__":

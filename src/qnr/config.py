@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 import yaml
 
-from .noise import NoiseSpec, is_real, specs_from_mask
+from .noise import NoiseSpec, is_finite, is_real, specs_from_mask
 from .reservoir import EsnConfig, QnrConfig, benchmark_masks
 from .rng import stream
 from .tipc import TipcSettings
@@ -77,9 +77,9 @@ class InputSpec:
             raise ConfigError(f"input.kind must be uniform or csv, got {self.kind!r}")
         # the range of uniform draws, and the Legendre range of csv inputs
         for key in ("low", "high"):
-            if not math.isfinite(getattr(self, key)):
+            if not is_finite(getattr(self, key)):
                 raise ConfigError(f"input.{key} must be finite, got {getattr(self, key)!r}")
-        if not math.isfinite(self.high - self.low):
+        if not is_finite(self.high - self.low):
             raise ConfigError("input.high - input.low must be finite")
         if self.kind == "uniform" and not self.low < self.high:
             raise ConfigError("input.low must be below input.high")

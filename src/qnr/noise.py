@@ -14,6 +14,7 @@ sampled once at compile time and frozen for the lifetime of the reservoir.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -56,6 +57,13 @@ def is_int(x) -> bool:
 def is_real(x) -> bool:
     """True for a real number, numpy's included, that is not a bool."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def is_finite(x) -> bool:
+    """True for a real number that is not a bool and that a float holds
+    without overflow: NaN, the infinities and an integer beyond float range
+    are not finite."""
+    return is_real(x) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import qsim
-from .noise import (NoiseSpec, check_specs, compile_noise, is_int, is_real, CNOT_BIAS,
+from .noise import (NoiseSpec, check_specs, compile_noise, is_finite, is_int, is_real, CNOT_BIAS,
                     OVER_ROTATION_RX, OVER_ROTATION_RZ)
 from .rng import stream
 
@@ -49,7 +49,7 @@ class QnrConfig:
         if not (is_int(n) and n % 2 == 0 and 2 <= n <= qsim.MAX_QUBITS):
             raise ValueError(f"n_qubits must be an even integer in [2, {qsim.MAX_QUBITS}], "
                              f"got {n!r}")
-        if not (is_real(self.input_scaling) and math.isfinite(self.input_scaling)):
+        if not is_finite(self.input_scaling):
             raise ValueError(f"input_scaling must be a finite number, "
                              f"got {self.input_scaling!r}")
         check_specs(self.noise, n)
@@ -69,10 +69,10 @@ class EsnConfig:
     def __post_init__(self):
         if not (is_int(self.n_nodes) and self.n_nodes >= 1):
             raise ValueError(f"n_nodes must be an integer >= 1, got {self.n_nodes!r}")
-        if not (is_real(self.spectral_radius) and 0.0 <= self.spectral_radius < math.inf):
+        if not (is_finite(self.spectral_radius) and self.spectral_radius >= 0.0):
             raise ValueError(f"spectral_radius must be a finite number >= 0, "
                              f"got {self.spectral_radius!r}")
-        if not (is_real(self.input_scaling) and math.isfinite(self.input_scaling)):
+        if not is_finite(self.input_scaling):
             raise ValueError(f"input_scaling must be a finite number, "
                              f"got {self.input_scaling!r}")
         for key in ("internal_prob", "input_prob"):

@@ -75,7 +75,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .noise import is_int, is_real
+from .noise import is_finite, is_int
 from .reservoir import StateMatrix
 
 # State directions with singular value below this times the largest are dropped.
@@ -87,7 +87,6 @@ class NormalizedStates:
     """Orthonormal time courses of the linearly independent state directions."""
 
     P: np.ndarray                 # T x r, orthonormal columns, zero column means
-    singular_values: np.ndarray   # all singular values of the centered matrix
     rank: int
 
 
@@ -110,7 +109,7 @@ def normalize_states(X: np.ndarray, abs_floor: Optional[float] = None) -> Normal
         abs_floor = 1e-8 * np.sqrt(T)
     Xc = X - X.mean(axis=0)
     if not np.any(Xc):
-        return NormalizedStates(np.empty((T, 0)), np.zeros(0), 0)
+        return NormalizedStates(np.empty((T, 0)), 0)
     P, sv, _ = np.linalg.svd(Xc, full_matrices=False)
     keep = sv >= max(_SV_CUTOFF * sv[0], abs_floor)
     r = int(np.sum(keep))
@@ -119,7 +118,7 @@ def normalize_states(X: np.ndarray, abs_floor: Optional[float] = None) -> Normal
         col = P[:, k]
         if col[np.argmax(np.abs(col))] < 0:
             P[:, k] = -col
-    return NormalizedStates(P, sv, r)
+    return NormalizedStates(P, r)
 
 
 @dataclass(frozen=True, slots=True)
@@ -900,7 +899,7 @@ class TipcSettings:
         # a sigma <= 0 would make a threshold <= 0, keeping every term, noise included
         for key, high in (("p", 1.0), ("sigma", math.inf), ("surrogate_sigma", math.inf)):
             value = getattr(self, key)
-            if not (is_real(value) and 0.0 < value < high):
+            if not (is_finite(value) and 0.0 < value < high):
                 # YAML 1.1 reads an exponent without a decimal point as a string
                 hint = (f"; YAML reads {value} as a string, write a decimal point as in "
                         "1.0e-4" if isinstance(value, str) else "")

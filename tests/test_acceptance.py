@@ -25,6 +25,7 @@ cannot pass together with 3a.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,15 +244,16 @@ def narma2_ipc():
     t0 = time.perf_counter()
     T, washout = 20000, 200
     u = stream(MASTER_SEED, "inputs").uniform(-1.0, 1.0, washout + T)
-    y = narma2((u + 1.0) / 2.0)[washout:]
+    y = narma2((u + 1.0) / 2.0)
     settings = TipcSettings(max_degree=3, max_input_delay=8,
                             family="legendre",
                             threshold="surrogate", surrogates=200,
                             surrogate_sigma=1.2)
-    prof = ipc_of_target(y, u, washout, settings,
+    prof = ipc_of_target(y[washout:], u, washout, settings,
                          surrogate_rng=stream(MASTER_SEED, "surrogate"), input_range=(-1.0, 1.0))
     caps = {t.label(): c for t, c in zip(prof.terms, prof.capacity.tolist())}
-    return {"caps": caps, "elapsed": time.perf_counter() - t0}
+    return {"caps": caps, "elapsed": time.perf_counter() - t0,
+            "u": u, "y": y, "washout": washout, "settings": settings}
 
 
 @pytest.mark.parametrize("part,label,target", [
@@ -267,6 +269,52 @@ def test_criterion_08_narma2_ipc_components(narma2_ipc, part, label, target):
     report(f"{part} ipc {label}", ok,
            f"capacity {got:.4f} vs {target} +- 0.03 "
            f"(runtime {narma2_ipc['elapsed']:.0f}s)")
+
+
+def _amplitude_gaps(caps, u, y, washout, delays):
+    """|sqrt(C_k) - |corr(y_t, P1(u[t-k]))|| per delay k: a first-order
+    capacity's amplitude against a sample correlation that uses no solver."""
+    T = len(y)
+    return [abs(np.sqrt(caps[f"P1(u[t-{k}])" if k else "P1(u[t])"])
+                - abs(np.corrcoef(u[washout - k:washout - k + T], y)[0, 1]))
+            for k in delays]
+
+
+def test_narma2_first_order_capacities_match_moment_oracle(narma2_ipc):
+    """Checks criterion 8's solver against sample moments (ROADMAP item 8(a)).
+
+    The target y is centered and normalized to p, and each degree-1 term
+    P1(u[t-k]) = u[t-k] to a unit vector a_k of zero mean.  Their
+    correlation is a_k . p.  The solver orthonormalizes a_k against the
+    constant and the columns before it in evaluation order, which at
+    degree 1 are P1(u[t-j]) for j < k, each with overlap e_j = q_j . a_k:
+        sqrt(C_k) = |a_k . p - sum_j e_j q_j . p| / sqrt(1 - sum_j e_j^2).
+    With i.i.d. inputs e_j is a sample correlation of independent columns,
+    of mean 0 and standard deviation 1/sqrt(T) (0.007 at T = 20,000).  So
+    to first order |sqrt(C_k) - |a_k . p|| <= max|e_j| * sum_j sqrt(C_j),
+    and with |e_j| <= 3/sqrt(T) and sum_{j<k} sqrt(C_j) <= sqrt(k) (the
+    capacities sum to at most 1) the bound is 3 sqrt(k/T): 0, 0.021 and
+    0.030 at delays 0, 1 and 2.  At delay 0 only the constant comes first,
+    and removing it centers a_0 exactly, so the two agree to rounding.
+
+    The capacities of the target delayed by one step must fail the same
+    check: they move each delay's capacity to the next delay.
+    """
+    u, y, w = narma2_ipc["u"], narma2_ipc["y"], narma2_ipc["washout"]
+    T, delays = len(y) - w, [0, 1, 2]
+    bounds = [3.0 * np.sqrt(k / T) + 1e-12 for k in delays]
+    gaps = _amplitude_gaps(narma2_ipc["caps"], u, y[w:], w, delays)
+    shifted = ipc_of_target(y[w - 1:-1], u, w, replace(narma2_ipc["settings"], threshold="chi2"),
+                            input_range=(-1.0, 1.0))
+    shifted_gaps = _amplitude_gaps(
+        {t.label(): c for t, c in zip(shifted.terms, shifted.capacity.tolist())},
+        u, y[w:], w, delays)
+    ok = all(g <= b for g, b in zip(gaps, bounds)) and \
+        all(g > b for g, b in zip(shifted_gaps, bounds))
+    report("8 moment oracle", ok,
+           "amplitude gaps " + ", ".join(f"{g:.4f}" for g in gaps)
+           + " within 3 sqrt(k/T) = " + ", ".join(f"{b:.4f}" for b in bounds)
+           + "; target delayed one step: " + ", ".join(f"{g:.4f}" for g in shifted_gaps))
 
 
 # -- 9 ----------------------------------------------------------------------

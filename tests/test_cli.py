@@ -34,6 +34,9 @@ BAD_TIPC = [pytest.param(tipc, key, id=name) for name, tipc, key in [
     ("threshold", {"threshold": "surogate"}, "threshold"),
     ("sigma-negative", {"sigma": -1.0}, "sigma"),
     ("surrogate_sigma-zero", {"surrogate_sigma": 0.0}, "surrogate_sigma"),
+    # integers beyond float range used to pass: 10**400 < math.inf
+    ("sigma-huge", {"sigma": 10**400}, "sigma"),
+    ("surrogate_sigma-huge", {"surrogate_sigma": 10**400}, "surrogate_sigma"),
 ]]
 
 # (id, library call, start of its error): the cases of
@@ -61,6 +64,8 @@ BAD_LIBRARY_RESERVOIR = [pytest.param(build, message, id=name) for name, build, 
     ("targets-float", lambda: NoiseSpec("bit_flip", 0.1, (1.5,)), r"targets must be"),
     ("rate-string", lambda: NoiseSpec("bit_flip", "0.1"), r"rate must be a number"),
     ("n_qubits-float", lambda: QnrConfig(n_qubits=4.0), r"n_qubits must be an even integer"),
+    ("input_scaling-huge", lambda: QnrConfig(input_scaling=10**400),
+     r"input_scaling must be a finite number"),
 ]]
 
 
@@ -109,11 +114,15 @@ class TestConfig:
         ({"low": -float("inf")}, r"^input\.low must be finite, got -inf"),
         ({"low": float("nan")}, r"^input\.low must be finite, got nan"),
         ({"low": -1e308, "high": 1e308}, r"^input\.high - input\.low must be finite"),
-    ], ids=["inf", "-inf", "nan", "overflow"])
+        ({"high": 10**400}, r"^input\.high must be finite, got 10{400}$"),
+        ({"low": -10**400}, r"^input\.low must be finite, got -10{400}$"),
+        ({"low": -10**308, "high": 10**308}, r"^input\.high - input\.low must be finite"),
+    ], ids=["inf", "-inf", "nan", "overflow", "huge-int", "-huge-int", "overflow-int"])
     def test_non_finite_input_range_names_its_key(self, tmp_path, kind, span, message):
         # each used to pass validation, and `qnr train` then died in numpy with
         # "OverflowError: high - low range exceeds valid bounds"; the two keys
-        # are the Legendre range of csv inputs too
+        # are the Legendre range of csv inputs too.  Integers beyond float
+        # range died in validation with a bare OverflowError
         extra = {"path": str(tmp_path / "u.csv")} if kind == "csv" else {}
         cfg = _write_cfg(tmp_path, {"input": {"kind": kind, **span, **extra}})
         with pytest.raises(cfgmod.ConfigError, match=message):
@@ -149,11 +158,16 @@ class TestConfig:
                                            ("internal_prob", 2), ("input_prob", -1),
                                            ("spectral_radius", float("inf")),
                                            ("input_scaling", float("nan")),
-                                           ("input_scaling", "x")])
+                                           ("input_scaling", "x"),
+                                           pytest.param("spectral_radius", 10**400,
+                                                        id="spectral_radius-huge"),
+                                           pytest.param("input_scaling", 10**400,
+                                                        id="input_scaling-huge")])
     def test_bad_esn_values_name_their_key(self, key, value):
         # each used to run: probabilities 2 and -1 wrote an eval NRMSE of
         # 1.0038, and a non-finite scale died in the analysis with "state
-        # matrix contains NaN or Inf", naming no key
+        # matrix contains NaN or Inf", naming no key; an integer scale beyond
+        # float range died in validation with a bare OverflowError
         with pytest.raises(ValueError, match=rf"^{key} must be"):
             EsnConfig(**{key: value})
         with pytest.raises(cfgmod.ConfigError, match=rf"^esn\.{key} must be"):
@@ -230,12 +244,15 @@ class TestConfig:
         ({"instances": 600}, r"reservoir\.instances must be at most 512"),
         ({"noise": [{"kind": "bit_flip"}, {"kind": "bit_flip", "rate": 0.2}]},
          r"reservoir\.noise\[1\]\.kind"),
+        ({"input_scaling": 10**400}, r"reservoir\.input_scaling must be a finite number"),
     ], ids=["n_qubits-odd", "n_qubits-large", "n_qubits-esn", "noise-rate", "noise-targets",
             "masks-two-hop", "masks-all-two-hop", "noise-two-hop", "instances-damping",
-            "noise-repeated-kind"])
+            "noise-repeated-kind", "input_scaling-huge"])
     def test_bad_reservoir_values_name_their_key(self, reservoir, key):
         # each used to pass assemble and fail once the instances were
-        # built, without the key (a bare IndexError for the targets)
+        # built, without the key (a bare IndexError for the targets); an
+        # integer scale beyond float range died in assemble with a bare
+        # OverflowError
         with pytest.raises(cfgmod.ConfigError, match=key):
             cfgmod.assemble({"reservoir": reservoir})
 
@@ -370,7 +387,40 @@ def _small_split():
     return {"washout": 30, "train": 40, "eval": 40}
 
 
+# a tiny config per command; ingest reads a trace that simulate wrote
+_TINY = {
+    "simulate": {"split": _small_split(), "reservoir": {"instances": 2, "masks": [1, 3]}},
+    "train": {"split": _small_split(), "reservoir": {"instances": 2, "masks": [1, 3]}},
+    "tipc": {"reservoir": {"instances": 1, "masks": [1]},
+             "tipc": {"washout": 30, "analysis_len": 200, "max_degree": 1,
+                      "max_input_delay": 3, "max_state_delay": 0}},
+    "ipc": {"tipc": {"washout": 30, "analysis_len": 200, "max_degree": 2,
+                     "max_input_delay": 3}},
+    "esp": {"esp": {"trials": 2, "steps": 20}},
+}
+
+
 class TestCommands:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_manifest_lists_every_artifact(self, tmp_path, command):
+        payload = _TINY.get(command)
+        if command == "ingest":
+            trace = tmp_path / "trace"
+            main(["simulate", "--config", _write_cfg(tmp_path, _TINY["simulate"]),
+                  "--out", str(trace)])
+            payload = {"ingest": {"inputs": str(trace / "inputs.csv"),
+                                  "states": [str(trace / "states_m0001.csv"),
+                                             str(trace / "states_m0003.csv")]}}
+        path = _write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out), "--seed", "4"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        written = sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
+        assert written and sorted(manifest["artifacts"]) == written
+        cfg = cfgmod.assemble(cfgmod.load_file(path), seed=4, out=str(out))
+        assert manifest["config_hash"] == cfgmod.config_hash(cfg)
+
     def test_simulate_writes_states_and_manifest(self, tmp_path):
         cfg = _write_cfg(tmp_path, {
             "split": _small_split(),
