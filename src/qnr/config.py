@@ -152,6 +152,10 @@ class ReservoirSpec:
         for i, mask in enumerate(masks):
             with _key(f"reservoir.masks[{i}]: "):
                 QnrConfig(self.n_qubits, noise=specs_from_mask(mask, self.noise_rate))
+            # two instances of one mask would write the same files
+            if masks.index(mask) < i:
+                raise ConfigError(f"reservoir.masks[{i}]: duplicate mask {mask} "
+                                  f"(masks[{masks.index(mask)}])")
 
     def mask_list(self) -> List[int]:
         if self.noise is not None:
@@ -240,6 +244,10 @@ class IngestSpec:
 
     def validate(self):
         _check_types(self, "ingest.")
+        # a trace is its inputs and its states: either one alone is half of it
+        for key, other in (("inputs", "states"), ("states", "inputs")):
+            if getattr(self, other) and not getattr(self, key):
+                raise ConfigError(f"ingest.{key} is required with ingest.{other}")
 
 
 @dataclass

@@ -118,7 +118,8 @@ def _step_unitaries(config: QnrConfig, compiled, inputs: np.ndarray) -> np.ndarr
 
     Pair p acts on qubits (i, j) = (2p, 2p+1) with RX_i, RX_j, CX, RZ_j, CX in
     chronological order; over-rotation scales the RX/RZ angles and CNOT bias
-    turns CX into CRX(pi (1 + eps_j)).
+    turns CX into CRX(pi (1 + eps_j)), a matmul like CX's.  RZ_j enters as the
+    diagonal phases it is.
     """
     n = config.n_qubits
     eps = compiled.sampled_epsilons
@@ -127,9 +128,9 @@ def _step_unitaries(config: QnrConfig, compiled, inputs: np.ndarray) -> np.ndarr
     theta = config.input_scaling * inputs[:, None]
     cx = (qsim.crx_block(np.pi * (1.0 + eps[CNOT_BIAS][1::2])) if CNOT_BIAS in eps
           else qsim.CNOT_MATRIX)
-    B = _kron(qsim.rx_matrix(theta * sx[0::2]), qsim.rx_matrix(theta * sx[1::2]))
-    B = cx @ B
-    B = _kron(qsim.I2, qsim.rz_matrix(theta * sz[1::2])) @ B
+    B = cx @ _kron(qsim.rx_matrix(theta * sx[0::2]), qsim.rx_matrix(theta * sx[1::2]))
+    # I x RZ_j is diagonal: its product scales row (a, b) of B by RZ_j's phase b
+    B *= np.tile(np.diagonal(qsim.rz_matrix(theta * sz[1::2]), axis1=-2, axis2=-1), 2)[..., None]
     return cx @ B
 
 
@@ -175,10 +176,10 @@ def _evolve(steps: np.ndarray, superops: np.ndarray, entangler: Optional[np.ndar
     The steps run in chunks whose states fit ``_CHUNK_BYTES``.  Per chunk the
     block unitaries (kron, then entangler) and their adjoints are built at
     once; per step come the two conjugation matmuls and the superoperators:
-    one matmul on the (16, 1) column of a single-pair block, written into the
-    chunk's state buffer, or the per-pair contraction of a register block,
-    whose diagonal alone is kept.  After the chunk, the Z readout is one
-    matrix-vector product per block.
+    one matmul on the (16, 1) column of a single-pair block, or the per-pair
+    contraction of a register block.  Either writes the step's states into
+    the chunk's one state buffer, and after the chunk the Z readout of that
+    buffer is one matrix-vector product per block.
     """
     T, nb, m = steps.shape[:3]
     d = 4**m
@@ -188,13 +189,12 @@ def _evolve(steps: np.ndarray, superops: np.ndarray, entangler: Optional[np.ndar
     out = np.empty((T, b, 2 * m))
     L = _chunk_steps(b, d)
     w0, w1 = np.empty((2,) + rho.shape, dtype=complex)
+    states = np.empty((L,) + rho.shape, dtype=complex)
     if m == 1:
-        states = np.empty((L,) + rho.shape, dtype=complex)
         # the vectorized pair states as (16, 1) columns, for the superoperators
         col = rho.shape[:2] + (16, 1)
         superop, w1_cols, state_cols = superops[:, 0], w1.reshape(col), states.reshape((L,) + col)
     else:
-        diag = np.empty((L,) + rho.shape[:-1])
         # axes (k, nb, ket pairs, bra pairs) with pair p's (ket, bra) moved to 2, 3
         to_front = [(0, 1, 2 + p, 2 + m + p) + tuple(a for a in range(2, 2 + 2 * m)
                                                    if a not in (2 + p, 2 + m + p))
@@ -210,18 +210,17 @@ def _evolve(steps: np.ndarray, superops: np.ndarray, entangler: Optional[np.ndar
             np.matmul(w0, Uh[j], out=w1)
             if m == 1:
                 np.matmul(superop, w1_cols, out=state_cols[j])
-                rho = states[j]
             else:
                 tens = w1.reshape(rho.shape[:2] + (4,) * (2 * m))
                 for p, (axes, back) in enumerate(perms):
                     moved = tens.transpose(axes)
                     tens = superops[:, p] @ moved.reshape(moved.shape[:2] + (16, -1))
                     tens = tens.reshape(moved.shape).transpose(back)
-                rho = tens.reshape(rho.shape)
-                diag[j] = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
-        held = np.real(np.diagonal(states, axis1=-2, axis2=-1)) if m == 1 else diag
+                states[j] = tens.reshape(rho.shape)
+            rho = states[j]
+        held = np.real(np.diagonal(states[:len(U)], axis1=-2, axis2=-1))
         # a matrix-vector product per block: gemm here would move the last bit
-        readout = (signs @ held[:len(U), ..., None])[..., 0]
+        readout = (signs @ held[..., None])[..., 0]
         out[c:c + len(U)] = readout.reshape(len(U), b, 2 * m)
     return out
 

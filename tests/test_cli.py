@@ -245,14 +245,16 @@ class TestConfig:
         ({"noise": [{"kind": "bit_flip"}, {"kind": "bit_flip", "rate": 0.2}]},
          r"reservoir\.noise\[1\]\.kind"),
         ({"input_scaling": 10**400}, r"reservoir\.input_scaling must be a finite number"),
+        ({"masks": [1, 3, 1]}, r"reservoir\.masks\[2\]: duplicate mask 1 \(masks\[0\]\)"),
     ], ids=["n_qubits-odd", "n_qubits-large", "n_qubits-esn", "noise-rate", "noise-targets",
             "masks-two-hop", "masks-all-two-hop", "noise-two-hop", "instances-damping",
-            "noise-repeated-kind", "input_scaling-huge"])
+            "noise-repeated-kind", "input_scaling-huge", "masks-repeated"])
     def test_bad_reservoir_values_name_their_key(self, reservoir, key):
         # each used to pass assemble and fail once the instances were
         # built, without the key (a bare IndexError for the targets); an
         # integer scale beyond float range died in assemble with a bare
-        # OverflowError
+        # OverflowError; a repeated mask passed, and its second instance
+        # overwrote the first one's files
         with pytest.raises(cfgmod.ConfigError, match=key):
             cfgmod.assemble({"reservoir": reservoir})
 
@@ -496,6 +498,19 @@ class TestCommands:
         m1 = json.loads((out1 / "metrics.json").read_text())
         m2 = json.loads((out2 / "metrics.json").read_text())
         assert m1["nrmse_eval"] == m2["nrmse_eval"]
+
+    def test_simulate_with_threads_matches_serial(self, tmp_path):
+        cfg = _write_cfg(tmp_path, {"split": _small_split(),
+                                    "reservoir": {"instances": 2, "masks": [1, 129]}})
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["simulate", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+        # manifest.json names the output directory and the thread count
+        names = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+        assert names == ["inputs.csv", "states_m0001.csv", "states_m0129.csv"]
+        assert names == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_simulate_full_mask_sweep(self, tmp_path):
         # the whole 1024-combination sweep, at a token split length
@@ -751,6 +766,28 @@ class TestCommands:
         assert manifest["metadata"]["device"] == "testbox"
         back = dataio.read_states_csv(out / "ingested_states_0000.csv")
         assert np.array_equal(back.data, states)
+
+    @pytest.mark.parametrize("command", ["tipc", "ingest"])
+    @pytest.mark.parametrize("given, missing", [("states", "inputs"), ("inputs", "states")],
+                             ids=["states-alone", "inputs-alone"])
+    def test_ingest_inputs_and_states_go_together(self, tmp_path, rng, command, given,
+                                                  missing):
+        # states alone died in read_trace with a bare TypeError, and tipc
+        # ignored inputs alone and simulated instead
+        ipath, spath = tmp_path / "u.csv", tmp_path / "x.csv"
+        dataio.write_inputs_csv(ipath, rng.uniform(0, 1, size=50))
+        dataio.write_states_csv(spath, rng.normal(size=(50, 2)))
+        ingest = {"inputs": str(ipath), "states": [str(spath)]}
+        del ingest[missing]
+        cfg = _write_cfg(tmp_path, {"ingest": ingest,
+                                    "reservoir": {"instances": 1, "masks": [1]},
+                                    "tipc": {"washout": 30, "analysis_len": 200,
+                                             "max_degree": 1, "max_state_delay": 0}})
+        out = tmp_path / "out"
+        with pytest.raises(cfgmod.ConfigError,
+                           match=rf"^ingest\.{missing} is required with ingest\.{given}$"):
+            main([command, "--config", cfg, "--out", str(out)])
+        assert not out.exists()
 
     def test_ingest_requires_states(self, tmp_path):
         cfg = _write_cfg(tmp_path, {})

@@ -64,6 +64,9 @@ _REFERENCE_CASES = [
     [NoiseSpec(AMPLITUDE_DAMPING, 0.1), NoiseSpec(ENTANGLER_ONE_HOP, 0.1)],
     [NoiseSpec(ENTANGLER_TWO_HOP, 0.15), NoiseSpec(PHASE_DAMPING, 0.1)],
     [NoiseSpec(CNOT_BIAS, 0.1), NoiseSpec(ENTANGLER_ONE_HOP, 0.1)],
+    # the RZ phases between two biased CXs
+    [NoiseSpec(AMPLITUDE_DAMPING, 0.1), NoiseSpec(OVER_ROTATION_RZ, 0.2),
+     NoiseSpec(CNOT_BIAS, 0.1)],
 ]
 
 
@@ -80,9 +83,10 @@ class TestRunQnr:
         pytest.param(2, [NoiseSpec(ENTANGLER_ONE_HOP, 0.1), NoiseSpec(AMPLITUDE_DAMPING, 0.1)],
                      False, id="n2-one-hop"),
         pytest.param(2, _REFERENCE_CASES[2], False, id="n2-specs2"),
-        *[pytest.param(6, _REFERENCE_CASES[k], False, id=f"n6-specs{k}") for k in (0, 2, 4, 6)],
+        *[pytest.param(6, _REFERENCE_CASES[k], False, id=f"n6-specs{k}")
+          for k in (0, 2, 4, 6, 7)],
         *[pytest.param(4, _REFERENCE_CASES[k], True, id=f"initial-specs{k}")
-          for k in (0, 1, 4)],
+          for k in (0, 1, 4, 7)],
         pytest.param(8, _REFERENCE_CASES[4], False, id="n8-specs4"),
     ])
     def test_matches_gate_by_gate_reference(self, n_qubits, specs, initial, rng):

@@ -15,6 +15,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import chdtri, eval_legendre
@@ -1279,6 +1281,77 @@ class TestLapackBindings:
         # a row-major array the call writes is copied, as scipy's wrappers do
         if name == "dpotrf":
             assert lapack.dpotrf(rows(G))[0].tobytes() == lapack.dpotrf(G)[0].tobytes()
+
+
+@st.composite
+def planted_bases(draw, shape):
+    """A Legendre term list with exact dependencies planted far from the
+    floor, the rows it is evaluated over, and states: (terms, inputs,
+    input_offset, evaluation keywords, P, whether the basis spans P).
+
+    ``shape`` sets the rows T against the B terms: tall (T >= 8 B, the Gram
+    gate's), wide (B < T < 8 B) or saturated (T <= B).  A dependency is a
+    repeated term, or a state column that is a fixed mix of u[t] and u[t-1],
+    so that every state term repeats input terms.  The states P are a mix of
+    basis columns or an independent draw."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    max_state_delay, rank = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    # input delays reach two past the state delays, so an echo column's state
+    # terms repeat input terms
+    max_input_delay = max_state_delay + draw(st.integers(2, 3))
+    terms = enumerate_bases(draw(st.integers(1, 2)), max_input_delay, max_state_delay, rank,
+                            "legendre")
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(terms)))
+        terms.insert(at, terms[draw(st.integers(0, at - 1))])
+    B = len(terms)
+    lo, hi = {"tall": (8 * B, 8 * B + 20), "wide": (B + 1, 8 * B - 1),
+              "saturated": (max(2, B // 2), B)}[shape]
+    T = draw(st.integers(lo, hi))
+    offset = max_input_delay
+    u = rng.uniform(-1, 1, size=offset + max_state_delay + T)
+    xhat = rng.uniform(-1, 1, size=(max_state_delay + T, rank))
+    if draw(st.booleans()):
+        rows = offset + np.arange(len(xhat))
+        xhat[:, 0] = 0.6 * u[rows] - 0.3 * u[rows - 1]
+    kw = dict(xhat=xhat, start_row=max_state_delay, n_rows=T)
+    spanned = draw(st.booleans())
+    if spanned:
+        A = evaluate_bases(terms, u, offset, **kw)
+        x = A[:, rng.integers(0, B, size=3)] @ rng.normal(size=(3, 2))
+    else:
+        x = np.tanh(rng.normal(size=(T, 2)))
+    return terms, u, offset, kw, normalize_states(x).P, spanned
+
+
+class TestSolverChainProperties:
+    """The chain of ``_project`` against two-pass Gram-Schmidt on drawn
+    bases, with row panels split anywhere, under numpy's binding and under
+    scipy's public BLAS and LAPACK wrappers."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "scipy"])
+    @pytest.mark.parametrize("shape", ["tall", "wide", "saturated"])
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(data=st.data(), panel=st.integers(3, 40))
+    def test_decisions_and_capacities_match_reference(self, shape, backend, data, panel):
+        terms, u, off, kw, P, spanned = data.draw(planted_bases(shape))
+        A = evaluate_bases(terms, u, off, **kw)
+        caps, kept, dropped = reference_capacities(P, A)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tipc, "_PANEL_ROWS", panel)
+            if backend == "scipy":
+                import scipy.linalg
+                mp.setattr(tipc, "_blas_lapack",
+                           lambda: (scipy.linalg.blas, scipy.linalg.lapack))
+            else:
+                assert tipc._blas_lapack() == (_lapack, _lapack)
+            res = orthonormalize(terms, u, off, **kw)
+            mine = capacities(P, terms, u, off, **kw)
+        assert (res.kept, res.dropped) == (kept, dropped)
+        assert np.abs(mine - caps).max() <= 1e-12
+        # the kept vectors and the constant span the states, or all of R^T
+        if spanned or len(kept) + 1 == len(A):
+            assert abs(mine.sum() - P.shape[1]) <= 1e-12
 
 
 class TestCapacities:
